@@ -33,7 +33,8 @@ type Config struct {
 
 // Engine is the processing model. It caches the expensive per-version-pair
 // structures (contexts and items) so that repeated recommendations against
-// the same pair are cheap.
+// the same pair are cheap, and one measures.VersionAnalysis per version it
+// holds, so that pairs sharing a version share that version's analysis.
 //
 // Engine is not safe for unsupervised concurrent use: Ingest, Context and
 // Items mutate the caches. It is, however, built to sit behind an external
@@ -48,12 +49,14 @@ type Engine struct {
 	versions *rdf.VersionStore
 	prov     *provenance.Store
 
-	versionRec map[string]string // version ID -> provenance record ID
+	versionRec map[string]string                    // version ID -> provenance record ID
+	analyses   map[string]*measures.VersionAnalysis // version ID -> analysis, built on first pair use
 	ctxCache   map[string]*measures.Context
 	itemsCache map[string][]recommend.Item
 	idxCache   map[string]*recommend.ItemIndex // built with itemsCache, same lifetime
 	itemsRec   map[string]string               // pair key -> provenance record ID
 	ctxBuilds  int                             // contexts actually constructed (cache misses)
+	anBuilds   int                             // version analyses actually constructed
 }
 
 // New builds an engine from the config.
@@ -78,6 +81,7 @@ func New(cfg Config) *Engine {
 		versions:   rdf.NewVersionStore(),
 		prov:       prov,
 		versionRec: make(map[string]string),
+		analyses:   make(map[string]*measures.VersionAnalysis),
 		ctxCache:   make(map[string]*measures.Context),
 		itemsCache: make(map[string][]recommend.Item),
 		idxCache:   make(map[string]*recommend.ItemIndex),
@@ -129,15 +133,15 @@ func (e *Engine) Context(olderID, newerID string) (*measures.Context, error) {
 	if ctx, ok := e.ctxCache[key]; ok {
 		return ctx, nil
 	}
-	older, ok := e.versions.Get(olderID)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown version %q", olderID)
+	older, err := e.analysis(olderID)
+	if err != nil {
+		return nil, err
 	}
-	newer, ok := e.versions.Get(newerID)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown version %q", newerID)
+	newer, err := e.analysis(newerID)
+	if err != nil {
+		return nil, err
 	}
-	ctx := measures.NewContext(older, newer)
+	ctx := measures.NewPairContext(older, newer)
 	e.ctxCache[key] = ctx
 	e.ctxBuilds++
 	if _, err := e.prov.Append("compute_delta", e.agent, provenance.Inference,
@@ -147,6 +151,23 @@ func (e *Engine) Context(olderID, newerID string) (*measures.Context, error) {
 		return nil, fmt.Errorf("core: recording delta provenance: %w", err)
 	}
 	return ctx, nil
+}
+
+// analysis returns (building and caching on first use) the per-version
+// analysis of a held version. It lives as long as the version does in the
+// engine: InvalidateVersion drops it with the version's pairs.
+func (e *Engine) analysis(id string) (*measures.VersionAnalysis, error) {
+	if a, ok := e.analyses[id]; ok {
+		return a, nil
+	}
+	v, ok := e.versions.Get(id)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown version %q", id)
+	}
+	a := measures.NewVersionAnalysis(v)
+	e.analyses[id] = a
+	e.anBuilds++
+	return a, nil
 }
 
 // Items returns (building and caching on first use) the recommendable items
@@ -230,11 +251,12 @@ func (e *Engine) InvalidatePair(olderID, newerID string) bool {
 	return hadCtx || hadItems
 }
 
-// InvalidateVersion drops every cached pair that involves the version and
-// returns how many pairs were dropped. Committing a replacement or repaired
-// version invalidates exactly the derived state that read it — untouched
-// pairs keep their caches.
+// InvalidateVersion drops the version's analysis and every cached pair that
+// involves the version, and returns how many pairs were dropped. Committing
+// a replacement or repaired version invalidates exactly the derived state
+// that read it — untouched pairs keep their caches.
 func (e *Engine) InvalidateVersion(id string) int {
+	delete(e.analyses, id)
 	n := 0
 	for key, ctx := range e.ctxCache {
 		if ctx.Older.ID == id || ctx.Newer.ID == id {

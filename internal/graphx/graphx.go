@@ -311,7 +311,13 @@ func (g *Graph) BridgingCoefficient() Scores {
 // connects densely-connected components, the topological signal the paper's
 // structural measure targets.
 func (g *Graph) BridgingCentrality() Scores {
-	bc := g.Betweenness()
+	return g.BridgingCentralityFrom(g.Betweenness())
+}
+
+// BridgingCentralityFrom is BridgingCentrality over an already computed
+// Betweenness of g, for callers that keep the betweenness vector anyway:
+// it skips the second Brandes run and returns the same scores bit for bit.
+func (g *Graph) BridgingCentralityFrom(bc Scores) Scores {
 	brc := g.BridgingCoefficient()
 	out := make(Scores, len(g.nodes))
 	for _, t := range g.nodes {

@@ -183,7 +183,7 @@ func (BetweennessShift) Category() Category { return CategoryStructural }
 
 // Compute implements Measure.
 func (BetweennessShift) Compute(ctx *Context) Scores {
-	return shiftScores(ctx, ctx.OlderStruct.Betweenness(), ctx.NewerStruct.Betweenness())
+	return shiftScores(ctx, ctx.OlderAnalysis.Betweenness(), ctx.NewerAnalysis.Betweenness())
 }
 
 // ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ func (BridgingShift) Category() Category { return CategoryStructural }
 
 // Compute implements Measure.
 func (BridgingShift) Compute(ctx *Context) Scores {
-	return shiftScores(ctx, ctx.OlderStruct.BridgingCentrality(), ctx.NewerStruct.BridgingCentrality())
+	return shiftScores(ctx, ctx.OlderAnalysis.BridgingCentrality(), ctx.NewerAnalysis.BridgingCentrality())
 }
 
 // ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ func (CentralityShift) Category() Category { return CategorySemantic }
 func (CentralityShift) Compute(ctx *Context) Scores {
 	out := make(Scores)
 	for _, c := range ctx.UnionClasses() {
-		out[c] = math.Abs(ctx.NewerSem.Centrality(c) - ctx.OlderSem.Centrality(c))
+		out[c] = math.Abs(ctx.NewerAnalysis.Centrality(c) - ctx.OlderAnalysis.Centrality(c))
 	}
 	return out
 }
@@ -278,7 +278,7 @@ func (RelevanceShift) Category() Category { return CategorySemantic }
 func (RelevanceShift) Compute(ctx *Context) Scores {
 	out := make(Scores)
 	for _, c := range ctx.UnionClasses() {
-		out[c] = math.Abs(ctx.NewerSem.Relevance(c) - ctx.OlderSem.Relevance(c))
+		out[c] = math.Abs(ctx.NewerAnalysis.Relevance(c) - ctx.OlderAnalysis.Relevance(c))
 	}
 	return out
 }
@@ -312,7 +312,7 @@ func (PropertyCentralityShift) Category() Category { return CategorySemantic }
 func (PropertyCentralityShift) Compute(ctx *Context) Scores {
 	out := make(Scores)
 	for _, p := range ctx.UnionProperties() {
-		out[p] = math.Abs(ctx.NewerSem.PropertyCentrality(p) - ctx.OlderSem.PropertyCentrality(p))
+		out[p] = math.Abs(ctx.NewerAnalysis.PropertyCentrality(p) - ctx.OlderAnalysis.PropertyCentrality(p))
 	}
 	return out
 }

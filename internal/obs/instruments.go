@@ -212,7 +212,9 @@ func (h *Histogram) exemplarTail(i int, withEx bool) string {
 }
 
 // seriesLabeled renders the histogram's lines with extra labels (the vec
-// case); the le label is appended per bucket.
+// case); the le label is appended per bucket. _count is the +Inf bucket of
+// the same walk, not a separate read of the count: an observation landing
+// mid-walk must not make a scrape show +Inf != _count.
 func (h *Histogram) seriesLabeled(keys, values []string, out []sample, withEx bool) []sample {
 	cum := uint64(0)
 	for i, b := range h.bounds {
@@ -235,7 +237,7 @@ func (h *Histogram) seriesLabeled(keys, values []string, out []sample, withEx bo
 	})
 	base := labelBlock(keys, values)
 	out = append(out, sample{suffix: "_sum", labels: base, value: h.Sum()})
-	out = append(out, sample{suffix: "_count", labels: base, value: float64(h.count.Load())})
+	out = append(out, sample{suffix: "_count", labels: base, value: float64(cum)})
 	return out
 }
 

@@ -9,6 +9,7 @@
 package schema
 
 import (
+	"slices"
 	"strings"
 
 	"evorec/internal/rdf"
@@ -303,6 +304,33 @@ func (s *Schema) Neighbors(c rdf.Term) []rdf.Term {
 		out = append(out, t)
 	}
 	rdf.SortTerms(out)
+	return out
+}
+
+// AllNeighbors returns Neighbors(c) for every class c, keyed by class, from
+// one pass over the hierarchy and the property declarations instead of one
+// pass over every property per class. Each list has the elements of
+// Neighbors(c) in the same sorted order (nil where Neighbors is empty).
+func (s *Schema) AllNeighbors() map[rdf.Term][]rdf.Term {
+	out := make(map[rdf.Term][]rdf.Term, len(s.classes))
+	for t, cl := range s.classes {
+		out[t] = append(append(out[t], cl.Supers...), cl.Subs...)
+	}
+	for _, p := range s.properties {
+		for _, d := range p.Domains {
+			out[d] = append(out[d], p.Ranges...)
+		}
+		for _, r := range p.Ranges {
+			out[r] = append(out[r], p.Domains...)
+		}
+	}
+	for c, ns := range out {
+		ns = dedupSorted(ns)
+		if i, found := slices.BinarySearchFunc(ns, c, rdf.Term.Compare); found {
+			ns = slices.Delete(ns, i, i+1)
+		}
+		out[c] = ns
+	}
 	return out
 }
 

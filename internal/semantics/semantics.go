@@ -178,11 +178,19 @@ func (a *Analyzer) Centrality(c rdf.Term) float64 {
 // approach of [15] adapted to our centrality definition; the weighting
 // choices are documented in DESIGN.md.
 func (a *Analyzer) Relevance(c rdf.Term) float64 {
-	own := a.Centrality(c)
-	neighbors := a.sch.Neighbors(c)
+	return a.RelevanceFrom(c, a.sch.Neighbors(c), a.Centrality)
+}
+
+// RelevanceFrom is Relevance with c's schema neighborhood and the class
+// centrality supplied by the caller, for callers that compute both once per
+// version. Given neighbors equal to Schema().Neighbors(c) and a centrality
+// function returning what Centrality returns, it equals Relevance(c) bit
+// for bit: the summation order is the same.
+func (a *Analyzer) RelevanceFrom(c rdf.Term, neighbors []rdf.Term, centrality func(rdf.Term) float64) float64 {
+	own := centrality(c)
 	nsum := 0.0
 	for _, n := range neighbors {
-		nsum += a.Centrality(n)
+		nsum += centrality(n)
 	}
 	if len(neighbors) > 0 {
 		own += nsum / float64(len(neighbors))
@@ -210,6 +218,30 @@ func (a *Analyzer) PropertyCentrality(p rdf.Term) float64 {
 		sum += a.RelativeCardinality(k.P, k.From, k.To)
 	}
 	return sum
+}
+
+// AllPropertyCentralities returns PropertyCentrality of every property of
+// the schema, keyed by term, from one pass over the connection statistics
+// instead of one pass per property. Each property's edges are summed in
+// the order PropertyCentrality sums them, so the values are bit-identical.
+func (a *Analyzer) AllPropertyCentralities() map[rdf.Term]float64 {
+	byProp := make(map[rdf.Term][]EdgeKey)
+	for k, c := range a.conn {
+		if c > 0 {
+			byProp[k.P] = append(byProp[k.P], k)
+		}
+	}
+	out := make(map[rdf.Term]float64, a.sch.NumProperties())
+	for _, p := range a.sch.PropertyTerms() {
+		keys := byProp[p]
+		sortEdgeKeys(keys)
+		sum := 0.0
+		for _, k := range keys {
+			sum += a.RelativeCardinality(k.P, k.From, k.To)
+		}
+		out[p] = sum
+	}
+	return out
 }
 
 // AllCentralities returns the centrality of every class, keyed by term.

@@ -10,9 +10,9 @@ import (
 	"strings"
 	"time"
 
-	"evorec/internal/core"
 	"evorec/internal/profile"
 	"evorec/internal/rdf"
+	"evorec/internal/recommend"
 )
 
 // ---------------------------------------------------------------------------
@@ -475,8 +475,9 @@ func (r *runner) checkRanking(op *Op, recs []recEntryResp, scoreOrdered bool) {
 	}
 }
 
-// checkParity recomputes a sampled plain recommendation on the reference
-// engine — same profile grammar, same bytes, the unindexed scoring path —
+// checkParity recomputes a sampled plain recommendation with the map
+// reference recommend.TopK over the reference engine's items — same profile
+// grammar, same bytes, none of the item index the server scores through —
 // and compares measure IDs and scores bitwise. Go's float64 JSON round-trip
 // is exact, so any drift is a real indexed-vs-reference divergence.
 func (r *runner) checkParity(op *Op, d *dsState, got []recEntryResp) {
@@ -490,13 +491,12 @@ func (r *runner) checkParity(op *Op, d *dsState, got []recEntryResp) {
 		r.viol.addf("harness", "parity %s: parsing interests: %v", op.Dataset, err)
 		return
 	}
-	want, err := d.refEng.Recommend(u, core.Request{
-		OlderID: op.Older, NewerID: op.Newer, K: op.K, Strategy: core.Plain,
-	})
+	items, err := d.refEng.Items(op.Older, op.Newer)
 	if err != nil {
 		r.viol.addf("harness", "parity %s %s..%s: reference engine: %v", op.Dataset, op.Older, op.Newer, err)
 		return
 	}
+	want := recommend.TopK(u, items, op.K)
 	r.parityChecked.Add(1)
 	if !r.expect(len(want) == len(got), "parity",
 		"recommend %s %s..%s k=%d: %d results, reference says %d",

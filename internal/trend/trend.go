@@ -195,8 +195,16 @@ func Analyze(vs *rdf.VersionStore, m measures.Measure) (*Analysis, error) {
 	a := &Analysis{MeasureID: m.ID(), series: make(map[rdf.Term]*Series)}
 	step := 0
 	var failed error
+	// Each pair's newer analysis is the next pair's older one, so every
+	// interior version is analyzed once.
+	var prev *measures.VersionAnalysis
 	vs.Pairs(func(older, newer *rdf.Version) bool {
-		ctx := measures.NewContext(older, newer)
+		if prev == nil {
+			prev = measures.NewVersionAnalysis(older)
+		}
+		next := measures.NewVersionAnalysis(newer)
+		ctx := measures.NewPairContext(prev, next)
+		prev = next
 		scores := m.Compute(ctx)
 		a.PairIDs = append(a.PairIDs, older.ID+"->"+newer.ID)
 		for t, v := range scores {
