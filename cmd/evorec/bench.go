@@ -229,7 +229,7 @@ func cmdBench(args []string) error {
 	cold := evorec.SchemaIRI("FanoutColdRegion")
 	fd, err := evorec.OpenFeed(evorec.FeedConfig{
 		Threshold: 0.01, K: 1, MaxLog: 4,
-		Telemetry: evorec.NewFeedTelemetry(reg),
+		Metrics: reg,
 	})
 	if err != nil {
 		return err

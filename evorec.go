@@ -883,23 +883,11 @@ type TracerConfig = obs.TracerConfig
 const DefaultTraceRing = obs.DefaultTraceRing
 
 // NewTracer builds a tracer. Wire it into HTTPServerConfig.Tracer (root
-// spans per request), ServiceConfig.Tracer (store/feed child spans) and
-// OpsMuxConfig.Tracer (/debug/traces) — the same instance in all three.
+// spans per request), ServiceConfig.Tracer (root spans for background heal
+// probes) and OpsMuxConfig.Tracer (/debug/traces) — the same instance in
+// all three. Service, store and feed child spans need no wiring: they
+// follow the request's context wherever a sampled root span opened it.
 func NewTracer(cfg TracerConfig) *Tracer { return obs.NewTracer(cfg) }
-
-// FeedTelemetry is the feed subsystem's fan-out observation hook.
-type FeedTelemetry = feed.Telemetry
-
-// NewFeedTelemetry returns a telemetry sink recording fan-out series into
-// reg, for standalone feeds (OpenFeed); service datasets wire their feeds
-// automatically through ServiceConfig.Metrics. A nil registry returns a
-// nil hook.
-func NewFeedTelemetry(reg *MetricsRegistry) FeedTelemetry {
-	if reg == nil {
-		return nil
-	}
-	return obs.NewFeedSink(reg)
-}
 
 // ParseLatencyBuckets parses a comma-separated histogram bucket schedule in
 // seconds for HTTPServerConfig.LatencyBuckets: at least one bound, every

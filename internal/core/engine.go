@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"evorec/internal/measures"
@@ -360,10 +362,12 @@ func (e *Engine) Recommend(u *profile.Profile, req Request) ([]recommend.Recomme
 			u.MarkSeen(s.MeasureID)
 		}
 	}
-	artifact := fmt.Sprintf("rec:%s:%s:%s", u.ID, key, req.Strategy)
+	// Built without fmt, like the record ID: fmt's pooled printers would
+	// make this per-request path's allocation count vary between calls.
+	artifact := "rec:" + u.ID + ":" + key + ":" + req.Strategy.String()
+	note := "k=" + strconv.Itoa(req.K) + " measures=[" + strings.Join(recommend.MeasureIDs(sel), " ") + "]"
 	if _, err := e.prov.Append("recommend", e.agent, provenance.Inference,
-		[]string{e.itemsRec[key]}, []string{artifact},
-		fmt.Sprintf("k=%d measures=%v", req.K, recommend.MeasureIDs(sel))); err != nil {
+		[]string{e.itemsRec[key]}, []string{artifact}, note); err != nil {
 		return nil, fmt.Errorf("core: recording recommendation provenance: %w", err)
 	}
 	return sel, nil

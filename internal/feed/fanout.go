@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"evorec/internal/core"
+	"evorec/internal/obs"
 	"evorec/internal/rdf"
 	"evorec/internal/recommend"
 )
@@ -68,19 +69,20 @@ func (f *Feed) FanOutIndexedCtx(ctx context.Context, olderID, newerID string, id
 	key := pairKey(olderID, newerID)
 	if _, dup := f.done[key]; dup {
 		st.Skipped = true
-		if f.tel != nil {
-			f.tel.FanOutSkipped()
-		}
+		f.met.skipped.Inc()
 		return st, nil
 	}
-	ctx, end := startSpan(f.spans, ctx, "feed.fanout")
-	_, mend := startSpan(f.spans, ctx, "feed.match")
+	ctx, sp := obs.StartSpan(ctx, "feed.fanout")
+	_, ms := obs.StartSpan(ctx, "feed.match")
 	affected := f.affectedLocked(idx)
-	mend("affected", strconv.Itoa(len(affected)),
-		"subscribers", strconv.Itoa(st.Subscribers))
+	if ms != nil {
+		ms.SetAttr("affected", strconv.Itoa(len(affected)))
+		ms.SetAttr("subscribers", strconv.Itoa(st.Subscribers))
+		ms.End()
+	}
 	st.Affected = len(affected)
 	notes := f.scoreLocked(ctx, affected, idx, olderID, newerID)
-	_, aend := startSpan(f.spans, ctx, "feed.append")
+	_, as := obs.StartSpan(ctx, "feed.append")
 	changed := make([]string, 0, len(affected))
 	for i, id := range affected {
 		if len(notes[i]) == 0 {
@@ -99,23 +101,29 @@ func (f *Feed) FanOutIndexedCtx(ctx context.Context, olderID, newerID string, id
 		lg.trim(f.maxLog)
 		changed = append(changed, id)
 	}
-	aend("notified", strconv.Itoa(st.Notified))
+	if as != nil {
+		as.SetAttr("notified", strconv.Itoa(st.Notified))
+		as.End()
+	}
 	f.done[key] = donePair{older: olderID, newer: newerID}
 	// Delivery is complete in memory here; the observation covers scoring
 	// and log appends and is recorded even when persistence below degrades,
 	// matching what subscribers actually experienced.
-	if f.tel != nil {
-		f.tel.ObserveFanOut(st.Affected, st.Notified, time.Since(start))
-	}
-	_, pend := startSpan(f.spans, ctx, "feed.persist")
+	f.met.duration.ObserveSince(start)
+	f.met.affected.Observe(float64(st.Affected))
+	f.met.notified.Add(float64(st.Notified))
+	_, ps := obs.StartSpan(ctx, "feed.persist")
 	err := f.persistFanOutLocked(changed)
-	pend("users", strconv.Itoa(len(changed)))
-	end("older", olderID, "newer", newerID,
-		"affected", strconv.Itoa(st.Affected), "notified", strconv.Itoa(st.Notified))
-	if err != nil {
-		return st, err
+	if sp != nil { // ps is sp's child: both are sampled or neither is
+		ps.SetAttr("users", strconv.Itoa(len(changed)))
+		ps.End()
+		sp.SetAttr("older", olderID)
+		sp.SetAttr("newer", newerID)
+		sp.SetAttr("affected", strconv.Itoa(st.Affected))
+		sp.SetAttr("notified", strconv.Itoa(st.Notified))
+		sp.End()
 	}
-	return st, nil
+	return st, err
 }
 
 // affectedLocked intersects the index's positively-scored entity terms
@@ -147,7 +155,7 @@ func (f *Feed) affectedLocked(idx *recommend.ItemIndex) []string {
 // affected; each slot holds the subscriber's notifications in descending
 // relatedness, the exact output of core.UserNotifications — so feed batches
 // equal a serial Engine.Notify over the affected set. Each worker scores
-// through core.UserNotificationsIndexed, inheriting the kernel's pooled
+// through core.UserNotificationsIndexed, inheriting the kernel's reused
 // per-call scratch. Workers only read the registry (the caller holds the
 // write lock, so nothing mutates underneath them).
 func (f *Feed) scoreLocked(ctx context.Context, affected []string, idx *recommend.ItemIndex, olderID, newerID string) [][]core.Notification {
@@ -164,14 +172,18 @@ func (f *Feed) scoreLocked(ctx context.Context, affected []string, idx *recommen
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			_, send := startSpan(f.spans, ctx, "feed.score")
+			_, ss := obs.StartSpan(ctx, "feed.score")
 			n := 0
 			for i := w; i < len(affected); i += workers {
 				u := f.subs[affected[i]]
 				out[i] = core.UserNotificationsIndexed(u, idx, olderID, newerID, f.threshold, f.k)
 				n++
 			}
-			send("worker", strconv.Itoa(w), "scored", strconv.Itoa(n))
+			if ss != nil {
+				ss.SetAttr("worker", strconv.Itoa(w))
+				ss.SetAttr("scored", strconv.Itoa(n))
+				ss.End()
+			}
 		}(w)
 	}
 	wg.Wait()

@@ -30,15 +30,14 @@
 package feed
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"evorec/internal/core"
+	"evorec/internal/obs"
 	"evorec/internal/profile"
 	"evorec/internal/rdf"
 	"evorec/internal/store/vfs"
@@ -82,51 +81,38 @@ type Config struct {
 	// K is the maximum notifications per subscriber per commit (default
 	// DefaultK).
 	K int
-	// Telemetry is the optional fan-out instrumentation sink (nil =
-	// uninstrumented). The feed declares the interface; internal/obs
-	// provides a registry-backed implementation (obs.FeedSink).
-	Telemetry Telemetry
-	// Spans is the optional tracing span source (nil = untraced); see
-	// Spanner.
-	Spans Spanner
+	// Metrics is the registry the fan-out series report into (nil =
+	// uninstrumented); see metrics.
+	Metrics *obs.Registry
 }
 
-// Spanner opens tracing spans around the fan-out phases (match, worker
-// scoring, log append, persist). The feed declares the contract and
-// internal/obs satisfies it structurally (obs.ChildSpanner), mirroring
-// Telemetry, so this package never imports the tracing substrate.
-// StartSpan returns a context carrying the child span and a completion
-// callback taking alternating key/value attribute pairs; on a context with
-// no sampled trace it returns the input context and a shared no-op
-// callback. Implementations must be safe for concurrent use — worker
-// goroutines open per-worker spans.
-type Spanner interface {
-	StartSpan(ctx context.Context, name string) (context.Context, func(attrs ...string))
+// metrics is a feed's fan-out instrument set. A nil registry binds nil
+// instruments, each a no-op:
+//
+//	evorec_fanout_seconds         commit-triggered fan-out duration
+//	evorec_fanout_affected        affected-subscriber count distribution
+//	evorec_fanout_notified_total  notifications appended to feed logs
+//	evorec_fanout_skipped_total   ledger-skipped replays (idempotent pairs)
+type metrics struct {
+	duration *obs.Histogram
+	affected *obs.Histogram
+	notified *obs.Counter
+	skipped  *obs.Counter
 }
 
-// nopSpanEnd is the completion callback startSpan hands out when no
-// Spanner is installed.
-var nopSpanEnd = func(...string) {}
-
-// startSpan opens a child span when a Spanner is installed, else a no-op.
-func startSpan(s Spanner, ctx context.Context, name string) (context.Context, func(attrs ...string)) {
-	if s == nil {
-		return ctx, nopSpanEnd
+func newMetrics(reg *obs.Registry) metrics {
+	return metrics{
+		duration: reg.Histogram("evorec_fanout_seconds",
+			"Commit-triggered fan-out duration in seconds (index intersection + scoring + log appends).",
+			obs.DefBuckets),
+		affected: reg.Histogram("evorec_fanout_affected",
+			"Subscribers matched by the inverted interest index per fan-out — the set actually scored.",
+			obs.SizeBuckets),
+		notified: reg.Counter("evorec_fanout_notified_total",
+			"Notifications appended to feed logs."),
+		skipped: reg.Counter("evorec_fanout_skipped_total",
+			"Fan-outs skipped by the idempotence ledger (pair already delivered)."),
 	}
-	return s.StartSpan(ctx, name)
-}
-
-// Telemetry is the narrow sink fan-out events report through. Like the
-// store's, the contract lives here and implementations live elsewhere, so
-// the feed never grows an HTTP or metrics dependency. Implementations are
-// called under the feed's write lock and must not call back into the Feed.
-type Telemetry interface {
-	// ObserveFanOut reports one delivered fan-out: subscribers matched by
-	// the inverted index, notifications appended, and wall time.
-	ObserveFanOut(affected, notified int, d time.Duration)
-	// FanOutSkipped reports a fan-out suppressed by the idempotence ledger
-	// (the pair was already delivered before a restart or invalidation).
-	FanOutSkipped()
 }
 
 // Entry is one feed log entry: a notification under its monotonic per-user
@@ -179,8 +165,7 @@ type Feed struct {
 	maxLog    int
 	threshold float64
 	k         int
-	tel       Telemetry // optional; nil = uninstrumented
-	spans     Spanner   // optional; nil = untraced
+	met       metrics
 
 	mu   sync.RWMutex
 	dict *rdf.Dict                          // feed-private interner of interest terms
@@ -224,8 +209,7 @@ func Open(cfg Config) (*Feed, error) {
 		maxLog:    cfg.MaxLog,
 		threshold: cfg.Threshold,
 		k:         cfg.K,
-		tel:       cfg.Telemetry,
-		spans:     cfg.Spans,
+		met:       newMetrics(cfg.Metrics),
 		dict:      rdf.NewDict(),
 		subs:      make(map[string]*profile.Profile),
 		idx:       make(map[rdf.TermID]map[string]struct{}),

@@ -5,14 +5,14 @@
 // an HTTP middleware that instruments every endpoint, and an ops mux
 // bundling /metrics, /healthz and net/http/pprof.
 //
-// The layering rule is that obs knows nothing about the layers it
-// observes: internal/store and internal/feed declare their own narrow
-// Telemetry interfaces and obs provides sinks (StoreSink, FeedSink) that
-// satisfy them structurally, so the storage layers never import HTTP and
-// the whole substrate can be switched off by passing a nil registry —
-// every instrument and sink in this package is nil-receiver safe and
-// degrades to a no-op, keeping the uninstrumented hot paths at their PR 6
-// cost.
+// The layering rule is one seam for every layer: obs imports nothing of
+// the stack, and every layer that reports (store, feed, service, server)
+// imports obs and calls it directly. Each binds its own instruments from a
+// *Registry and opens spans with StartSpan on the request's context. The
+// whole substrate switches off by passing a nil registry and an untraced
+// context: a nil registry hands out nil instruments and StartSpan returns
+// a nil span, and every method on either is a no-op, so the
+// uninstrumented hot paths pay a nil check and no allocation.
 //
 // Naming follows the Prometheus conventions (see DESIGN.md §11): every
 // series is prefixed "evorec_", cumulative counters end in "_total",

@@ -15,6 +15,7 @@ package provenance
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -119,7 +120,7 @@ func (s *Store) Append(activity, agent string, src Source, inputs, artifacts []s
 	}
 	s.seq++
 	r := &Record{
-		ID:        fmt.Sprintf("r%06d", s.seq),
+		ID:        recordID(s.seq),
 		Activity:  activity,
 		Agent:     agent,
 		Source:    src,
@@ -134,6 +135,21 @@ func (s *Store) Append(activity, agent string, src Source, inputs, artifacts []s
 		s.producers[a] = append(s.producers[a], r.ID)
 	}
 	return r, nil
+}
+
+// recordID renders seq in the "r%06d" form in a single allocation. Append
+// sits on every served request, and fmt's printer cache is a sync.Pool,
+// which may drop any Put and so makes the per-request allocation count
+// vary from call to call.
+func recordID(seq int) string {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(seq), 10)
+	var buf [32]byte
+	b := append(buf[:0], 'r')
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // Len returns the number of records.

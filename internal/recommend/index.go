@@ -2,7 +2,7 @@ package recommend
 
 import (
 	"math"
-	"sync"
+	"runtime"
 
 	"evorec/internal/measures"
 	"evorec/internal/profile"
@@ -22,7 +22,7 @@ import (
 // construction, user interests are compiled against it lookup-only per
 // call, so serving never mutates the index. An ItemIndex is immutable after
 // construction and safe for concurrent use; per-call scratch comes from a
-// package-level sync.Pool, which the engine's read-locked recommend path
+// package-level free list, which the engine's read-locked recommend path
 // and the feed's fan-out workers share for free.
 type ItemIndex struct {
 	items  []Item
@@ -109,7 +109,7 @@ func (ix *ItemIndex) ByID(id string) (Item, bool) {
 // index, so the per-commit term walk is precomputed here once per pair.
 func (ix *ItemIndex) EntityTerms() []rdf.Term { return ix.entityTerms }
 
-// kernelScratch is the pooled per-call state of the scoring kernel.
+// kernelScratch is the reused per-call state of the scoring kernel.
 type kernelScratch struct {
 	scores  []float64
 	visited []bool
@@ -120,11 +120,23 @@ type kernelScratch struct {
 	group   []profile.Flat
 }
 
-var kernelPool = sync.Pool{New: func() any { return new(kernelScratch) }}
+// kernelFree is the free list scratch is drawn from and returned to. It is
+// a buffered channel, not a sync.Pool: a pool may drop any Put (every GC
+// empties it, and race builds drop one in four on purpose), and each drop
+// hands a later call fresh scratch that regrows its buffers. It holds four
+// per P, so the feed's fan-out workers (four by default) and the request
+// goroutines scoring beside them all find scratch to reuse; scratch
+// returned to a full list is left to the collector.
+var kernelFree = make(chan *kernelScratch, 4*runtime.GOMAXPROCS(0))
 
-// getScratch returns pooled scratch sized for ix.
+// getScratch returns reused scratch sized for ix.
 func (ix *ItemIndex) getScratch() *kernelScratch {
-	sc := kernelPool.Get().(*kernelScratch)
+	var sc *kernelScratch
+	select {
+	case sc = <-kernelFree:
+	default:
+		sc = new(kernelScratch)
+	}
 	n := len(ix.items)
 	if cap(sc.scores) < n {
 		sc.scores = make([]float64, n)
@@ -135,9 +147,14 @@ func (ix *ItemIndex) getScratch() *kernelScratch {
 	return sc
 }
 
-func putScratch(sc *kernelScratch) { kernelPool.Put(sc) }
+func putScratch(sc *kernelScratch) {
+	select {
+	case kernelFree <- sc:
+	default:
+	}
+}
 
-// compileUser compiles u's interests into the pooled scratch flat.
+// compileUser compiles u's interests into the scratch flat.
 func (ix *ItemIndex) compileUser(u *profile.Profile, sc *kernelScratch) *profile.Flat {
 	sc.flat.Compile(u.Interests, ix.dict, false, &sc.squares)
 	return &sc.flat
@@ -357,7 +374,7 @@ func (ix *ItemIndex) groupScoreFlat(sc *kernelScratch, ord int32, agg Aggregatio
 // the ExplainText-identical one-line reason. It is the flat-kernel body of
 // a notification: one interest compile, candidate-only scoring, and flat
 // explanations rendered only for the measures actually emitted. Beyond
-// pooled scratch it allocates only the reasons themselves, so callers
+// reused scratch it allocates only the reasons themselves, so callers
 // (Engine.Notify, the feed fan-out workers) build their notification
 // batches with no intermediate slices.
 func (ix *ItemIndex) NotifyEach(u *profile.Profile, threshold float64, k int, emit func(measureID string, score float64, reason string)) {

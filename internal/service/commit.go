@@ -59,6 +59,9 @@ type committer struct {
 	max     int
 	running bool
 	closed  bool
+	// depth is the shared queue-depth gauge. It sums every dataset's
+	// queue, so this one adds its own changes instead of setting a value.
+	depth *obs.Gauge
 }
 
 // enqueue admits a request (bounded) and ensures a drain goroutine is
@@ -71,11 +74,11 @@ func (d *Dataset) enqueue(req *commitReq) error {
 		return fmt.Errorf("%w: %q", ErrDatasetClosed, d.name)
 	}
 	if len(c.queue) >= c.max {
-		d.metrics.incCommitBusy()
+		d.metrics.commitBusy.Inc()
 		return fmt.Errorf("%w: dataset %q has %d commits queued", ErrCommitBusy, d.name, len(c.queue))
 	}
 	c.queue = append(c.queue, req)
-	d.metrics.setQueueDepth(len(c.queue))
+	c.depth.Add(1)
 	if !c.running {
 		c.running = true
 		go d.runCommits()
@@ -118,9 +121,9 @@ func (d *Dataset) runCommits() {
 		}
 		batch := c.queue
 		c.queue = nil
-		d.metrics.setQueueDepth(0)
+		c.depth.Add(-float64(len(batch)))
 		c.mu.Unlock()
-		d.metrics.observeBatch(len(batch))
+		d.metrics.batchSize.Observe(float64(len(batch)))
 		d.commitBatch(batch)
 		if d.walPastBound() {
 			d.checkpointStore(store.CheckpointWALBound)
@@ -157,7 +160,7 @@ func (d *Dataset) checkpointStore(reason string) {
 		err := d.sds.CheckpointReason(reason)
 		d.health.end(blockCheckpoint)
 		if err != nil {
-			d.metrics.incCheckpointFailure(reason)
+			d.metrics.ckptFailures.With(reason).Inc()
 			if d.logger != nil {
 				d.logger.Warn("checkpoint failed",
 					"dataset", d.name, "reason", reason, "error", err.Error())
@@ -250,7 +253,7 @@ func (d *Dataset) commitBatch(batch []*commitReq) {
 			// enqueue-time refusals.
 			if d.sds.Failed() != nil {
 				d.enterDegradedLocked(err)
-				d.metrics.addCommitDegraded(len(ok))
+				d.metrics.commitDegr.Add(float64(len(ok)))
 				err = fmt.Errorf("%w mid-commit: dataset %q: %v", ErrDegraded, d.name, err)
 			}
 			for _, s := range ok {
@@ -305,5 +308,6 @@ func (c *committer) close() {
 		req.queueSpan.End()
 		req.done <- commitResult{err: ErrDatasetClosed}
 	}
+	c.depth.Add(-float64(len(c.queue)))
 	c.queue = nil
 }

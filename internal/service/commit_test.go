@@ -20,7 +20,12 @@ func ntriple(s, o string) string {
 // seedMemStore saves a one-version chain onto fsys and returns its dir.
 func seedMemStore(t *testing.T, fsys vfs.FS) string {
 	t.Helper()
-	dir := "data/ds"
+	return seedMemStoreAt(t, fsys, "data/ds")
+}
+
+// seedMemStoreAt saves a one-version chain onto fsys at dir and returns it.
+func seedMemStoreAt(t *testing.T, fsys vfs.FS, dir string) string {
+	t.Helper()
 	g := rdf.NewGraph()
 	if err := rdf.ReadNTriplesInto(g, strings.NewReader(ntriple("a", "b"))); err != nil {
 		t.Fatal(err)

@@ -54,7 +54,7 @@ func (d *Dataset) enterDegradedLocked(cause error) {
 		return
 	}
 	d.health.moveDatasetState(stateHealthy, stateDegraded)
-	d.metrics.incDegraded()
+	d.metrics.degraded.Inc()
 	if d.logger != nil {
 		d.logger.Warn("dataset degraded: write path failing, commits suspended, reads still served",
 			"dataset", d.name, "state", "degraded", "error", cause.Error())
@@ -88,7 +88,7 @@ func (d *Dataset) healProbe(stop, done chan struct{}) {
 		case <-time.After(sleep):
 		}
 		if d.tryHeal(attempt) {
-			d.metrics.incHealed()
+			d.metrics.heals.Inc()
 			if d.logger != nil {
 				d.logger.Info("dataset healed: write path restored, commits re-enabled",
 					"dataset", d.name, "state", "healthy",
@@ -167,7 +167,7 @@ func (d *Dataset) acquireBuildSlot() error {
 	case d.buildGate <- struct{}{}:
 		return nil
 	default:
-		d.metrics.incBuildShed()
+		d.metrics.buildShed.Inc()
 		return fmt.Errorf("%w: dataset %q", ErrBuildBusy, d.name)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // TestRacePooledScratchAcrossEndpoints hammers every kernel-routed endpoint
 // — point recommend (plain/novelty/semantic), group recommend under all
 // aggregations, and notify — from concurrent goroutines sharing one cached
-// pair. The scoring kernel hands out per-call scratch from a sync.Pool;
-// this test (run under -race in CI) asserts that pooled buffers are never
+// pair. The scoring kernel hands out per-call scratch from a free list;
+// this test (run under -race in CI) asserts that reused buffers are never
 // shared across concurrent calls and that every concurrent result is
 // bit-identical to the serial reference computed up front.
 func TestRacePooledScratchAcrossEndpoints(t *testing.T) {

@@ -125,14 +125,15 @@ type Config struct {
 	// Metrics is the observability registry every dataset reports into:
 	// store WAL/checkpoint/cache series, feed fan-out series, and the
 	// service's own group-commit and pair-cache series (see DESIGN.md
-	// §11). Nil disables instrumentation entirely — every hook degrades
-	// to a nil check.
+	// §11). Nil disables instrumentation entirely — every instrument is
+	// nil and records nothing.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, threads request-scoped spans through the
-	// service into the store and feed layers (see DESIGN.md §12): pair
-	// builds, commit queue waits, WAL appends and fan-outs become child
-	// spans of the request's trace. Nil keeps every path untraced at its
-	// pre-tracing cost.
+	// Tracer, when non-nil, mints root spans for the background heal
+	// probe, which runs outside any request. Request work needs no
+	// tracer here: pair builds, commit queue waits, WAL appends and
+	// fan-outs become child spans of whatever sampled trace the caller's
+	// context carries (see DESIGN.md §12), and an untraced context keeps
+	// every path at its pre-tracing cost.
 	Tracer *obs.Tracer
 	// Logger, when non-nil, receives commit-triggered fan-out outcome
 	// lines carrying the originating request and trace IDs, so a feed

@@ -1,19 +1,14 @@
 package service
 
-import (
-	"evorec/internal/feed"
-	"evorec/internal/obs"
-	"evorec/internal/store"
-)
+import "evorec/internal/obs"
 
 // metrics is a dataset's service-level instrument set, bound onto the
 // shared registry (instrument registration is get-or-create, so every
-// dataset reports into the same series). A nil *metrics — the default when
-// Config.Metrics is nil — turns every recording method into a nil-check
-// no-op, keeping the uninstrumented request path at its PR 6 cost:
+// dataset reports into the same series). A nil Config.Metrics binds nil
+// instruments, each a no-op, so call sites record unguarded:
 //
 //	evorec_commit_batch_size             commits coalesced per group batch
-//	evorec_commit_queue_depth            commits waiting for the drain goroutine
+//	evorec_commit_queue_depth            queued commits, summed over datasets
 //	evorec_commit_busy_total             ErrCommitBusy rejections (load shed)
 //	evorec_commit_degraded_total         commits refused or failed while degraded
 //	evorec_build_shed_total              cold pair builds shed by the concurrency gate
@@ -33,21 +28,17 @@ type metrics struct {
 	heals         *obs.Counter
 	contextBuilds *obs.Counter
 	pairHits      *obs.Counter
-	registry      *obs.Registry
 }
 
-// newMetrics binds the service instruments on reg (nil reg -> nil, fully
-// disabling instrumentation).
-func newMetrics(reg *obs.Registry) *metrics {
-	if reg == nil {
-		return nil
-	}
-	return &metrics{
+// newMetrics binds the service instruments on reg (nil reg -> nil
+// instruments, fully disabling instrumentation).
+func newMetrics(reg *obs.Registry) metrics {
+	return metrics{
 		batchSize: reg.Histogram("evorec_commit_batch_size",
 			"Commits coalesced into one group-commit batch (one WAL fsync each).",
 			obs.SizeBuckets),
 		queueDepth: reg.Gauge("evorec_commit_queue_depth",
-			"Commits currently queued for the group committer."),
+			"Commits currently queued for the group committers, summed over datasets."),
 		commitBusy: reg.Counter("evorec_commit_busy_total",
 			"Commits rejected with ErrCommitBusy because the queue was saturated (HTTP 503s)."),
 		commitDegr: reg.Counter("evorec_commit_degraded_total",
@@ -65,97 +56,5 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Pair contexts built by singleflight leaders (one per distinct pair, however many clients race)."),
 		pairHits: reg.Counter("evorec_pair_cache_hits_total",
 			"Requests answered from an already-built pair cache without any build."),
-		registry: reg,
 	}
-}
-
-// storeTelemetry returns the sink to install on a backing store, nil when
-// uninstrumented (an interface holding a typed nil would defeat the
-// store's nil check, so the conversion happens here, once).
-func (m *metrics) storeTelemetry() store.Telemetry {
-	if m == nil {
-		return nil
-	}
-	return obs.NewStoreSink(m.registry)
-}
-
-// feedTelemetry returns the sink for the dataset's feed, nil when
-// uninstrumented.
-func (m *metrics) feedTelemetry() feed.Telemetry {
-	if m == nil {
-		return nil
-	}
-	return obs.NewFeedSink(m.registry)
-}
-
-func (m *metrics) observeBatch(n int) {
-	if m == nil {
-		return
-	}
-	m.batchSize.Observe(float64(n))
-}
-
-func (m *metrics) setQueueDepth(n int) {
-	if m == nil {
-		return
-	}
-	m.queueDepth.Set(float64(n))
-}
-
-func (m *metrics) incCommitBusy() {
-	if m == nil {
-		return
-	}
-	m.commitBusy.Inc()
-}
-
-// addCommitDegraded counts n commits resolved with ErrDegraded (one call
-// covers a whole failed batch; enqueue-time refusals count singly).
-func (m *metrics) addCommitDegraded(n int) {
-	if m == nil {
-		return
-	}
-	m.commitDegr.Add(float64(n))
-}
-
-func (m *metrics) incBuildShed() {
-	if m == nil {
-		return
-	}
-	m.buildShed.Inc()
-}
-
-func (m *metrics) incCheckpointFailure(reason string) {
-	if m == nil {
-		return
-	}
-	m.ckptFailures.With(reason).Inc()
-}
-
-func (m *metrics) incDegraded() {
-	if m == nil {
-		return
-	}
-	m.degraded.Inc()
-}
-
-func (m *metrics) incHealed() {
-	if m == nil {
-		return
-	}
-	m.heals.Inc()
-}
-
-func (m *metrics) incContextBuild() {
-	if m == nil {
-		return
-	}
-	m.contextBuilds.Inc()
-}
-
-func (m *metrics) incPairHit() {
-	if m == nil {
-		return
-	}
-	m.pairHits.Inc()
 }

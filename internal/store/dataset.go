@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"evorec/internal/obs"
 	"evorec/internal/rdf"
 	"evorec/internal/store/vfs"
 )
@@ -38,12 +39,9 @@ type Dataset struct {
 	lru  lruCache
 
 	wal *wal
-	// tel is the optional telemetry sink (nil = uninstrumented); see
-	// SetTelemetry.
-	tel Telemetry
-	// spans is the optional tracing span source (nil = untraced); see
-	// SetSpanner.
-	spans Spanner
+	// met holds the instruments bound by SetMetrics (nil instruments, all
+	// no-ops, until then).
+	met metrics
 	// pending holds segment paths written since the last checkpoint, still
 	// owed an fsync before the manifest may reference them durably.
 	pending map[string]bool
@@ -201,9 +199,7 @@ func (ds *Dataset) applyWALRecord(rec *walRecord) error {
 	if e.Bytes, err = writeSegment(ds.fsys, path, rec.segKind, rec.payload, false); err != nil {
 		return err
 	}
-	if ds.tel != nil {
-		ds.tel.AddSegmentBytes(e.Bytes)
-	}
+	ds.met.segBytes.Add(float64(e.Bytes))
 	ds.pending[path] = true
 	ds.idx[rec.id] = len(ds.man.Entries)
 	ds.man.Entries = append(ds.man.Entries, e)
@@ -219,7 +215,7 @@ func (ds *Dataset) applyWALRecord(rec *walRecord) error {
 func (ds *Dataset) Checkpoint() error { return ds.CheckpointReason(CheckpointExplicit) }
 
 // CheckpointReason is Checkpoint with the trigger reason that lands in the
-// telemetry sink's duration histogram — service layers distinguish idle
+// checkpoint duration histogram — service layers distinguish idle
 // background checkpoints from size-bound ones when reading saturation.
 func (ds *Dataset) CheckpointReason(reason string) error {
 	return ds.CheckpointReasonCtx(context.Background(), reason)
@@ -236,9 +232,10 @@ func (ds *Dataset) CheckpointReasonCtx(ctx context.Context, reason string) error
 	if len(ds.pending) == 0 && ds.wal.size == 0 {
 		return nil
 	}
-	_, end := startSpan(ds.spans, ctx, "store.checkpoint")
+	_, sp := obs.StartSpan(ctx, "store.checkpoint")
 	err := ds.checkpointTimed(reason)
-	end("reason", reason)
+	sp.SetAttr("reason", reason)
+	sp.End()
 	if err != nil {
 		ds.fail(err)
 		return err
@@ -254,10 +251,7 @@ func (ds *Dataset) checkpointTimed(reason string) error {
 	if err := ds.checkpoint(); err != nil {
 		return err
 	}
-	if ds.tel != nil {
-		ds.tel.ObserveCheckpoint(reason, time.Since(start))
-		ds.tel.SetWALSize(ds.wal.size)
-	}
+	ds.met.checkpoint.With(reason).ObserveSince(start)
 	return nil
 }
 
@@ -275,9 +269,7 @@ func (ds *Dataset) checkpoint() error {
 	if err != nil {
 		return err
 	}
-	if ds.tel != nil {
-		ds.tel.AddSegmentBytes(dictBytes)
-	}
+	ds.met.segBytes.Add(float64(dictBytes))
 	man := *ds.man
 	man.Entries = append([]Entry(nil), ds.man.Entries...)
 	man.Terms = ds.dict.Len() - 1
@@ -305,6 +297,9 @@ func (ds *Dataset) Close() error {
 	if cerr := ds.wal.close(); err == nil {
 		err = cerr
 	}
+	// A poisoned or failed close leaves WAL bytes behind; they leave the
+	// shared gauge with the handle (the next Open replays them).
+	ds.wal.releaseSize()
 	return err
 }
 
@@ -355,9 +350,9 @@ func (ds *Dataset) HealCtx(ctx context.Context) error {
 	}
 	ds.idx, ds.pending = idx, pending
 	ds.failed = nil
-	_, end := startSpan(ds.spans, ctx, "store.heal")
+	_, sp := obs.StartSpan(ctx, "store.heal")
 	err := ds.checkpointTimed(CheckpointHeal)
-	end()
+	sp.End()
 	if err != nil {
 		ds.fail(err)
 		return err
@@ -437,21 +432,20 @@ func (ds *Dataset) GraphAtCtx(ctx context.Context, i int) (*rdf.Graph, error) {
 		return nil, fmt.Errorf("store: version index %d out of range [0, %d)", i, len(ds.man.Entries))
 	}
 	if g := ds.lru.get(i); g != nil {
-		if ds.tel != nil {
-			ds.tel.ObserveCacheAccess(true)
-		}
+		ds.met.cacheHits.Inc()
 		return g, nil
 	}
-	if ds.tel != nil {
-		ds.tel.ObserveCacheAccess(false)
-	}
-	_, end := startSpan(ds.spans, ctx, "store.materialize")
+	ds.met.cacheMisses.Inc()
+	_, sp := obs.StartSpan(ctx, "store.materialize")
+	defer sp.End()
 	g, replayed, err := ds.materialize(ctx, i)
 	if err != nil {
-		end()
 		return nil, err
 	}
-	end("version", ds.man.Entries[i].ID, "deltas_replayed", strconv.Itoa(replayed))
+	if sp != nil {
+		sp.SetAttr("version", ds.man.Entries[i].ID)
+		sp.SetAttr("deltas_replayed", strconv.Itoa(replayed))
+	}
 	return g, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"evorec/internal/obs"
 	"evorec/internal/rdf"
 	"evorec/internal/store/vfs"
 )
@@ -195,11 +196,25 @@ type wal struct {
 	f    vfs.File
 	size int64
 	seq  uint64 // last sequence handed out
-	// tel mirrors the owning Dataset's sink (nil = uninstrumented); append
-	// is where fsync latency — the durability floor — is measured.
-	tel Telemetry
-	// spans mirrors the owning Dataset's span source (nil = untraced).
-	spans Spanner
+	// met mirrors the owning Dataset's instruments; append is where fsync
+	// latency — the durability floor — is measured.
+	met metrics
+	// reported is this log's share of the shared WAL size gauge: the
+	// gauge sums every dataset's log, so each one adds the change since
+	// its last report instead of overwriting the others'.
+	reported int64
+}
+
+// reportSize moves this log's share of the WAL size gauge to its size.
+func (w *wal) reportSize() {
+	w.met.walSize.Add(float64(w.size - w.reported))
+	w.reported = w.size
+}
+
+// releaseSize withdraws this log's whole share from the WAL size gauge.
+func (w *wal) releaseSize() {
+	w.met.walSize.Add(-float64(w.reported))
+	w.reported = 0
 }
 
 func (w *wal) path() string { return joinPath(w.dir, walFileName) }
@@ -239,9 +254,7 @@ func (w *wal) reset() error {
 	}
 	w.f = f
 	w.size = 0
-	if w.tel != nil {
-		w.tel.SetWALSize(0)
-	}
+	w.reportSize()
 	return nil
 }
 
@@ -259,31 +272,30 @@ func (w *wal) ensureOpen() error {
 // one fsync. When ctx carries a sampled trace, the whole append and the
 // fsync alone are recorded as nested "wal.append" / "wal.fsync" spans.
 func (w *wal) append(ctx context.Context, framed []byte) error {
-	actx, aend := startSpan(w.spans, ctx, "wal.append")
+	actx, as := obs.StartSpan(ctx, "wal.append")
+	defer as.End()
 	start := time.Now()
 	if err := w.ensureOpen(); err != nil {
-		aend()
 		return err
 	}
 	if _, err := w.f.Write(framed); err != nil {
-		aend()
 		return fmt.Errorf("store: appending WAL record: %w", err)
 	}
-	_, fend := startSpan(w.spans, actx, "wal.fsync")
+	_, fsp := obs.StartSpan(actx, "wal.fsync")
 	syncStart := time.Now()
 	err := w.f.Sync()
-	fend()
+	fsp.End()
 	if err != nil {
-		aend()
 		return fmt.Errorf("store: syncing WAL: %w", err)
 	}
 	w.size += int64(len(framed))
-	if w.tel != nil {
-		w.tel.ObserveWALFsync(time.Since(syncStart))
-		w.tel.ObserveWALAppend(len(framed), time.Since(start))
-		w.tel.SetWALSize(w.size)
+	w.met.walFsync.ObserveSince(syncStart)
+	w.met.walAppend.ObserveSince(start)
+	w.met.walBytes.Add(float64(len(framed)))
+	w.reportSize()
+	if as != nil {
+		as.SetAttr("bytes", strconv.Itoa(len(framed)))
 	}
-	aend("bytes", strconv.Itoa(len(framed)))
 	return nil
 }
 
