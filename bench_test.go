@@ -6,6 +6,7 @@
 package evorec_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -593,7 +594,7 @@ func BenchmarkFeedFanout(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					st, err := f.FanOutIndexed("v1", fmt.Sprintf("n%08d", i), idx)
+					st, err := f.FanOutIndexedCtx(context.Background(), "v1", fmt.Sprintf("n%08d", i), idx)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -666,7 +667,7 @@ func benchIngest(b *testing.B, workers int) {
 			if d == nil { // first iteration still setting up
 				continue
 			}
-			if _, err := d.Recommend(u, req); err != nil {
+			if _, err := d.RecommendCtx(context.Background(), u, req); err != nil {
 				readErr <- err
 				return
 			}
@@ -693,17 +694,17 @@ func benchIngest(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.Commit("v2", strings.NewReader(bodies[1])); err != nil {
+		if _, err := d.CommitCtx(context.Background(), "v2", strings.NewReader(bodies[1])); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.Recommend(u, req); err != nil { // warm the served pair
+		if _, err := d.RecommendCtx(context.Background(), u, req); err != nil { // warm the served pair
 			b.Fatal(err)
 		}
 		cur.Store(d)
 		b.StartTimer()
 
 		commitOne := func(k int64) error {
-			_, err := d.Commit(fmt.Sprintf("c%03d", k), strings.NewReader(bodies[int(k)+2]))
+			_, err := d.CommitCtx(context.Background(), fmt.Sprintf("c%03d", k), strings.NewReader(bodies[int(k)+2]))
 			return err
 		}
 		if workers == 1 {
@@ -789,7 +790,7 @@ func BenchmarkServiceRecommend(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			if _, err := d.Recommend(pool[0], req); err != nil {
+			if _, err := d.RecommendCtx(context.Background(), pool[0], req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -801,13 +802,13 @@ func BenchmarkServiceRecommend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.Recommend(pool[0], req); err != nil {
+		if _, err := d.RecommendCtx(context.Background(), pool[0], req); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := d.Recommend(pool[i%len(pool)], req); err != nil {
+			if _, err := d.RecommendCtx(context.Background(), pool[i%len(pool)], req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -819,7 +820,7 @@ func BenchmarkServiceRecommend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.Recommend(pool[0], req); err != nil {
+		if _, err := d.RecommendCtx(context.Background(), pool[0], req); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -827,7 +828,7 @@ func BenchmarkServiceRecommend(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
 			for pb.Next() {
-				if _, err := d.Recommend(pool[i%len(pool)], req); err != nil {
+				if _, err := d.RecommendCtx(context.Background(), pool[i%len(pool)], req); err != nil {
 					b.Fatal(err)
 				}
 				i++

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -82,7 +83,7 @@ func ingestBenchFn(workers int, reg *evorec.MetricsRegistry) func(b *testing.B) 
 				if d == nil {
 					continue
 				}
-				if _, err := d.Recommend(u, req); err != nil {
+				if _, err := d.RecommendCtx(context.Background(), u, req); err != nil {
 					readErr <- err
 					return
 				}
@@ -113,17 +114,17 @@ func ingestBenchFn(workers int, reg *evorec.MetricsRegistry) func(b *testing.B) 
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := d.Commit("v2", strings.NewReader(bodies[1])); err != nil {
+			if _, err := d.CommitCtx(context.Background(), "v2", strings.NewReader(bodies[1])); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := d.Recommend(u, req); err != nil {
+			if _, err := d.RecommendCtx(context.Background(), u, req); err != nil {
 				b.Fatal(err)
 			}
 			cur.Store(d)
 			b.StartTimer()
 
 			commitOne := func(k int64) error {
-				_, err := d.Commit(fmt.Sprintf("c%03d", k), strings.NewReader(bodies[int(k)+2]))
+				_, err := d.CommitCtx(context.Background(), fmt.Sprintf("c%03d", k), strings.NewReader(bodies[int(k)+2]))
 				return err
 			}
 			if workers == 1 {
@@ -287,7 +288,7 @@ func cmdBench(args []string) error {
 				// seq stays monotonic across the harness's b.N reruns: the
 				// shared feed's idempotence ledger must never skip a pair.
 				seq++
-				st, err := fd.FanOutIndexed("v1", fmt.Sprintf("n%08d", seq), idx)
+				st, err := fd.FanOutIndexedCtx(context.Background(), "v1", fmt.Sprintf("n%08d", seq), idx)
 				if err != nil {
 					b.Fatal(err)
 				}

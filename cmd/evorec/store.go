@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -238,19 +239,19 @@ func cmdStoreInspect(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := evorec.SetStoreCacheCap(ds, *cacheCap); err != nil {
+		if err := ds.SetCacheCap(*cacheCap); err != nil {
 			return err
 		}
 		fmt.Println()
 		for i, id := range ds.IDs() {
-			g, err := ds.GraphAt(i)
+			g, err := ds.GraphAtCtx(context.Background(), i)
 			if err != nil {
 				return fmt.Errorf("materializing %s: %w", id, err)
 			}
 			fmt.Printf("materialized %-12s %d triples\n", id, g.Len())
 		}
-		hits, misses := evorec.StoreCacheStats(ds)
-		fmt.Printf("cache cap=%d hits=%d misses=%d\n", evorec.StoreCacheCap(ds), hits, misses)
+		hits, misses := ds.CacheStats()
+		fmt.Printf("cache cap=%d hits=%d misses=%d\n", ds.CacheCap(), hits, misses)
 	}
 	return nil
 }

@@ -549,16 +549,6 @@ type StoreInfo = store.Info
 // StoreDefaultCacheCap is the store dataset's default graph-LRU capacity.
 const StoreDefaultCacheCap = store.DefaultCacheCap
 
-// SetStoreCacheCap resizes a store dataset's graph LRU (minimum 1; smaller
-// capacities are rejected, not clamped).
-func SetStoreCacheCap(ds *StoreDataset, n int) error { return ds.SetCacheCap(n) }
-
-// StoreCacheStats reports a store dataset's LRU hit/miss counters.
-func StoreCacheStats(ds *StoreDataset) (hits, misses int) { return ds.CacheStats() }
-
-// StoreCacheCap returns a store dataset's current LRU capacity.
-func StoreCacheCap(ds *StoreDataset) int { return ds.CacheCap() }
-
 // SaveStore persists a version store to dir in the binary segment format.
 func SaveStore(dir string, vs *VersionStore, opt StoreOptions) (*StoreManifest, error) {
 	return store.Save(dir, vs, opt)
@@ -774,9 +764,6 @@ func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 // to a listener).
 type HTTPServer = server.Server
 
-// NewHTTPServer builds the HTTP API over the service.
-func NewHTTPServer(svc *Service) *HTTPServer { return server.New(svc) }
-
 // ---------------------------------------------------------------------------
 // Subscriptions & feed
 
@@ -829,16 +816,16 @@ type MetricsRegistry = obs.Registry
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // HTTPServerConfig parameterizes the HTTP layer (Retry-After hint, metrics
-// registry, structured access logger). The zero value reproduces
-// NewHTTPServer.
+// registry, structured access logger). The zero value is the default
+// configuration.
 type HTTPServerConfig = server.Config
 
 // DefaultRetryAfterSeconds is the Retry-After hint a zero HTTPServerConfig
 // sends with 503 responses.
 const DefaultRetryAfterSeconds = server.DefaultRetryAfterSeconds
 
-// NewHTTPServerWithConfig builds the HTTP API over the service with
-// explicit observability configuration.
+// NewHTTPServerWithConfig builds the HTTP API over the service; a zero
+// HTTPServerConfig is the default configuration.
 func NewHTTPServerWithConfig(svc *Service, cfg HTTPServerConfig) *HTTPServer {
 	return server.NewWithConfig(svc, cfg)
 }
@@ -854,20 +841,15 @@ type OpsBuildInfo = obs.BuildInfo
 // VCS revision) under the given service name.
 func ServiceBuildInfo(service string) OpsBuildInfo { return obs.FromBuildInfo(service) }
 
-// NewOpsMux bundles the operator surface — GET /metrics, GET /healthz,
-// /debug/pprof/*, /debug/vars — on one mux, meant for a separate loopback
-// listener (`evorec serve -ops-addr`).
-func NewOpsMux(reg *MetricsRegistry, info OpsBuildInfo, dynamic func() map[string]any) *http.ServeMux {
-	return obs.NewOpsMux(reg, info, dynamic)
-}
-
-// OpsMuxConfig parameterizes the full operator surface, adding the
-// readiness probe (/readyz) and the trace ring (/debug/traces) to what
-// NewOpsMux mounts.
+// OpsMuxConfig parameterizes the operator surface: the metrics registry,
+// build identity and dynamic health fields, the readiness probe (/readyz)
+// and the trace ring (/debug/traces).
 type OpsMuxConfig = obs.OpsConfig
 
-// NewOpsMuxWithConfig builds the operator mux from an explicit
-// configuration.
+// NewOpsMuxWithConfig bundles the operator surface — GET /metrics,
+// GET /healthz, GET /readyz, /debug/traces, /debug/pprof/*, /debug/vars —
+// on one mux, meant for a separate loopback listener
+// (`evorec serve -ops-addr`).
 func NewOpsMuxWithConfig(cfg OpsMuxConfig) *http.ServeMux { return obs.OpsMux(cfg) }
 
 // Tracer is the request-scoped tracing substrate: W3C traceparent

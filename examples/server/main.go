@@ -56,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	go http.Serve(ln, evorec.NewHTTPServer(svc)) //nolint:errcheck // torn down with the process
+	go http.Serve(ln, evorec.NewHTTPServerWithConfig(svc, evorec.HTTPServerConfig{})) //nolint:errcheck // torn down with the process
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("serving %d versions at %s/v1/datasets\n\n", len(versions.IDs()), base)
 

@@ -14,7 +14,7 @@
 // cursors that clients poll with a cursor ack.
 //
 // Concurrency: a Feed is safe for concurrent use. Subscribe, Unsubscribe
-// and FanOut serialize under the write lock (fan-out scoring itself shards
+// and FanOutIndexedCtx serialize under the write lock (fan-out scoring itself shards
 // across a bounded worker pool inside the lock), so a fan-out always sees a
 // consistent registry snapshot and a subscriber churning concurrently with
 // a commit can never receive a duplicate or a torn batch. Poll and listing

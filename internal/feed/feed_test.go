@@ -1,6 +1,7 @@
 package feed_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -25,6 +26,7 @@ import (
 type world struct {
 	eng    *core.Engine
 	items  []recommend.Item
+	idx    *recommend.ItemIndex // compiled from items
 	pool   []*profile.Profile
 	ohID   string
 	nwID   string
@@ -53,7 +55,8 @@ func buildWorld(t testing.TB) *world {
 		t.Fatal(err)
 	}
 	return &world{
-		eng: eng, items: items, pool: pool, ohID: "v1", nwID: "v2",
+		eng: eng, items: items, idx: recommend.NewItemIndex(items),
+		pool: pool, ohID: "v1", nwID: "v2",
 		coldTm: rdf.SchemaIRI("NobodyEverTouchesThis"),
 	}
 }
@@ -78,7 +81,7 @@ func TestFanOutParityWithNotify(t *testing.T) {
 	for _, u := range w.pool {
 		mustSubscribe(t, f, u)
 	}
-	st, err := f.FanOut(w.ohID, w.nwID, w.items)
+	st, err := f.FanOutIndexedCtx(context.Background(), w.ohID, w.nwID, w.idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +129,7 @@ func TestFanOutLocality(t *testing.T) {
 	hot.SetInterest(hottestTerm(t, w.items), 1)
 	mustSubscribe(t, f, hot)
 
-	st, err := f.FanOut(w.ohID, w.nwID, w.items)
+	st, err := f.FanOutIndexedCtx(context.Background(), w.ohID, w.nwID, w.idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +150,7 @@ func TestFanOutLocality(t *testing.T) {
 	if _, created, err := f.Subscribe(cold); err != nil || created {
 		t.Fatalf("resubscribe: created=%v err=%v, want update", created, err)
 	}
-	st2, err := f.FanOut(w.ohID, "v2-again", w.items)
+	st2, err := f.FanOutIndexedCtx(context.Background(), w.ohID, "v2-again", w.idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +192,11 @@ func TestFanOutIdempotent(t *testing.T) {
 	for _, u := range w.pool {
 		mustSubscribe(t, f, u)
 	}
-	st1, err := f.FanOut(w.ohID, w.nwID, w.items)
+	st1, err := f.FanOutIndexedCtx(context.Background(), w.ohID, w.nwID, w.idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := f.FanOut(w.ohID, w.nwID, w.items)
+	st2, err := f.FanOutIndexedCtx(context.Background(), w.ohID, w.nwID, w.idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +231,7 @@ func TestPollCursors(t *testing.T) {
 	hot.SetInterest(hottestTerm(t, w.items), 1)
 	mustSubscribe(t, f, hot)
 	for i := 0; i < 3; i++ {
-		if _, err := f.FanOut(w.ohID, fmt.Sprintf("n%d", i), w.items); err != nil {
+		if _, err := f.FanOutIndexedCtx(context.Background(), w.ohID, fmt.Sprintf("n%d", i), w.idx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,7 +303,7 @@ func TestLogTrim(t *testing.T) {
 	u.SetInterest(hottestTerm(t, w.items), 1)
 	mustSubscribe(t, f, u)
 	for i := 0; i < 4; i++ {
-		if _, err := f.FanOut(w.ohID, fmt.Sprintf("n%d", i), w.items); err != nil {
+		if _, err := f.FanOutIndexedCtx(context.Background(), w.ohID, fmt.Sprintf("n%d", i), w.idx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +331,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	for _, u := range w.pool {
 		mustSubscribe(t, f, u)
 	}
-	if _, err := f.FanOut(w.ohID, w.nwID, w.items); err != nil {
+	if _, err := f.FanOutIndexedCtx(context.Background(), w.ohID, w.nwID, w.idx); err != nil {
 		t.Fatal(err)
 	}
 	wantSubs := f.Subscribers()
@@ -357,7 +360,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		}
 	}
 	// The reopened ledger remembers the pair: no re-delivery.
-	st, err := g.FanOut(w.ohID, w.nwID, w.items)
+	st, err := g.FanOutIndexedCtx(context.Background(), w.ohID, w.nwID, w.idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +368,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatal("reopened feed re-fanned a delivered pair")
 	}
 	// The index reopened too: a fresh pair still reaches subscribers.
-	st2, err := g.FanOut(w.ohID, "v2b", w.items)
+	st2, err := g.FanOutIndexedCtx(context.Background(), w.ohID, "v2b", w.idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,14 +391,14 @@ func TestCrashWindowReopen(t *testing.T) {
 	u := profile.New("u")
 	u.SetInterest(hottestTerm(t, w.items), 1)
 	mustSubscribe(t, f, u)
-	if _, err := f.FanOut(w.ohID, w.nwID, w.items); err != nil {
+	if _, err := f.FanOutIndexedCtx(context.Background(), w.ohID, w.nwID, w.idx); err != nil {
 		t.Fatal(err)
 	}
 	manifestAfterFirst, err := os.ReadFile(filepath.Join(dir, "feed.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.FanOut(w.ohID, "v3", w.items); err != nil {
+	if _, err := f.FanOutIndexedCtx(context.Background(), w.ohID, "v3", w.idx); err != nil {
 		t.Fatal(err)
 	}
 	want, _, err := f.Poll("u", 0, 0)
@@ -469,7 +472,7 @@ func TestRaceSubscribeFanOut(t *testing.T) {
 		}(c)
 	}
 	for i := 0; i < pairs; i++ {
-		if _, err := f.FanOut("v1", fmt.Sprintf("r%03d", i), w.items); err != nil {
+		if _, err := f.FanOutIndexedCtx(context.Background(), "v1", fmt.Sprintf("r%03d", i), w.idx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -577,7 +580,7 @@ func TestEmptyFanOutPersistsLedger(t *testing.T) {
 	cold := profile.New("cold")
 	cold.SetInterest(w.coldTm, 1)
 	mustSubscribe(t, f, cold)
-	st, err := f.FanOut(w.ohID, w.nwID, w.items)
+	st, err := f.FanOutIndexedCtx(context.Background(), w.ohID, w.nwID, w.idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +594,7 @@ func TestEmptyFanOutPersistsLedger(t *testing.T) {
 	if g.Pairs() != 1 {
 		t.Fatalf("reopened Pairs() = %d, want 1 (empty fan-out lost from the ledger)", g.Pairs())
 	}
-	st2, err := g.FanOut(w.ohID, w.nwID, w.items)
+	st2, err := g.FanOutIndexedCtx(context.Background(), w.ohID, w.nwID, w.idx)
 	if err != nil {
 		t.Fatal(err)
 	}

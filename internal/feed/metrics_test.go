@@ -1,6 +1,7 @@
 package feed_test
 
 import (
+	"context"
 	"testing"
 
 	"evorec/internal/feed"
@@ -20,14 +21,14 @@ func TestMetricsSeries(t *testing.T) {
 	for _, u := range w.pool {
 		mustSubscribe(t, f, u)
 	}
-	st, err := f.FanOut(w.ohID, w.nwID, w.items)
+	st, err := f.FanOutIndexedCtx(context.Background(), w.ohID, w.nwID, w.idx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Affected == 0 || st.Affected > 16 || st.Notified == 0 {
 		t.Fatalf("fan-out stats %+v: want 1..16 affected and some notified", st)
 	}
-	if st, err := f.FanOut(w.ohID, w.nwID, w.items); err != nil || !st.Skipped {
+	if st, err := f.FanOutIndexedCtx(context.Background(), w.ohID, w.nwID, w.idx); err != nil || !st.Skipped {
 		t.Fatalf("replayed fan-out = %+v, %v; want skipped", st, err)
 	}
 
@@ -57,7 +58,7 @@ func TestMetricsNilRegistry(t *testing.T) {
 		mustSubscribe(t, f, u)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := f.FanOut(w.ohID, w.nwID, w.items); err != nil {
+		if _, err := f.FanOutIndexedCtx(context.Background(), w.ohID, w.nwID, w.idx); err != nil {
 			t.Fatal(err)
 		}
 	}

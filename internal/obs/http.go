@@ -37,21 +37,18 @@ type HTTPMetrics struct {
 	tracer   *Tracer
 }
 
-// NewHTTPMetrics builds (or rebinds, registration is get-or-create) the
-// HTTP instrument set on reg with the default latency bucket schedule.
-// Every argument may be nil: a nil registry disables metrics, a nil logger
-// disables access logs, a nil tracer disables traceparent handling, and
-// with all three nil Wrap returns handlers unchanged.
-func NewHTTPMetrics(reg *Registry, logger *slog.Logger, tracer *Tracer) *HTTPMetrics {
-	return NewHTTPMetricsBuckets(reg, logger, tracer, nil)
-}
-
-// NewHTTPMetricsBuckets is NewHTTPMetrics with a custom latency bucket
-// schedule for evorec_http_request_seconds (nil keeps DefBuckets), for
-// deployments whose latency envelope the default schedule resolves poorly.
-// Buckets must be positive and strictly increasing — ParseBuckets validates
-// exactly this. The registry's get-or-create contract still applies: the
-// first registration of the histogram fixes its buckets for the process.
+// NewHTTPMetricsBuckets builds (or rebinds, registration is get-or-create)
+// the HTTP instrument set on reg. Every pointer argument may be nil: a nil
+// registry disables metrics, a nil logger disables access logs, a nil
+// tracer disables traceparent handling, and with all three nil Wrap returns
+// handlers unchanged.
+//
+// buckets is the latency schedule for evorec_http_request_seconds (nil
+// keeps DefBuckets), for deployments whose latency envelope the default
+// schedule resolves poorly. Buckets must be positive and strictly
+// increasing — ParseBuckets validates exactly this. The registry's
+// get-or-create contract still applies: the first registration of the
+// histogram fixes its buckets for the process.
 func NewHTTPMetricsBuckets(reg *Registry, logger *slog.Logger, tracer *Tracer, buckets []float64) *HTTPMetrics {
 	if reg == nil && logger == nil && tracer == nil {
 		return nil

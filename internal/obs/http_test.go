@@ -14,7 +14,7 @@ import (
 // handler's context), and a missing one is minted.
 func TestWrapRequestID(t *testing.T) {
 	reg := NewRegistry()
-	m := NewHTTPMetrics(reg, nil, nil)
+	m := NewHTTPMetricsBuckets(reg, nil, nil, nil)
 	var seen string
 	h := m.Wrap("/v1/test", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seen = RequestIDFrom(r.Context())
@@ -49,7 +49,7 @@ func TestWrapRequestID(t *testing.T) {
 // writes a body without an explicit WriteHeader.
 func TestWrapStatusClasses(t *testing.T) {
 	reg := NewRegistry()
-	m := NewHTTPMetrics(reg, nil, nil)
+	m := NewHTTPMetricsBuckets(reg, nil, nil, nil)
 	mux := http.NewServeMux()
 	mux.Handle("/ok", m.Wrap("/ok", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "implicit 200") // no WriteHeader: net/http defaults
@@ -91,7 +91,7 @@ func TestWrapStatusClasses(t *testing.T) {
 // request counter all agree.
 func TestWrapConcurrent(t *testing.T) {
 	reg := NewRegistry()
-	m := NewHTTPMetrics(reg, NewLogger(&strings.Builder{}, "error"), nil)
+	m := NewHTTPMetricsBuckets(reg, NewLogger(&strings.Builder{}, "error"), nil, nil)
 	h := m.Wrap("/v1/datasets/{name}", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "ok")
 	}))
@@ -136,9 +136,9 @@ func TestWrapConcurrent(t *testing.T) {
 // TestWrapNil locks the off switch: with neither registry nor logger the
 // middleware is a nil receiver and hands handlers back unchanged.
 func TestWrapNil(t *testing.T) {
-	m := NewHTTPMetrics(nil, nil, nil)
+	m := NewHTTPMetricsBuckets(nil, nil, nil, nil)
 	if m != nil {
-		t.Fatal("NewHTTPMetrics(nil, nil, nil) != nil")
+		t.Fatal("NewHTTPMetricsBuckets(nil, nil, nil, nil) != nil")
 	}
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
 	if got := m.Wrap("/x", h); fmt.Sprintf("%p", got) != fmt.Sprintf("%p", h) {

@@ -115,12 +115,6 @@ type OpsConfig struct {
 	Ready func() (bool, map[string]any)
 }
 
-// NewOpsMux bundles the operator surface with the given registry, build
-// identity and dynamic health fields; OpsMux is the full-config variant.
-func NewOpsMux(reg *Registry, info BuildInfo, dynamic func() map[string]any) *http.ServeMux {
-	return OpsMux(OpsConfig{Registry: reg, Info: info, Dynamic: dynamic})
-}
-
 // OpsMux bundles the operator surface on one mux, meant for a separate
 // loopback listener (`evorec serve -ops-addr`), so profiling and metrics
 // never share a port — or an exposure decision — with the public API:

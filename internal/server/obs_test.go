@@ -96,7 +96,7 @@ func TestServerRetryAfterDefault(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(svc)
+	srv := server.NewWithConfig(svc, server.Config{})
 	w := do(t, srv, "POST", "/v1/datasets/gallery/versions/v9", "")
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("commit on closed dataset = %d, want 503", w.Code)

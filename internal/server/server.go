@@ -103,10 +103,8 @@ type Server struct {
 	routeTimeouts map[string]time.Duration
 }
 
-// New builds the HTTP API over the service with default configuration.
-func New(svc *service.Service) *Server { return NewWithConfig(svc, Config{}) }
-
-// NewWithConfig builds the HTTP API over the service.
+// NewWithConfig builds the HTTP API over the service. A zero Config is the
+// default configuration.
 func NewWithConfig(svc *service.Service, cfg Config) *Server {
 	retry := cfg.RetryAfterSeconds
 	if retry <= 0 {
@@ -383,7 +381,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // Version and analysis handlers
 
 // maxCommitBody bounds a commit request's N-Triples body (128 MiB). The
-// body is read fully before the dataset's write lock is taken — Commit
+// body is read fully before the dataset's write lock is taken — CommitCtx
 // parses under the lock (the body interns into the shared dictionary), and
 // a slow client must not be able to stall every reader of the dataset for
 // the duration of its upload.

@@ -70,7 +70,7 @@ func newTestServer(t testing.TB) *server.Server {
 	if _, err := svc.Add("gallery", galleryVersions(t)); err != nil {
 		t.Fatal(err)
 	}
-	return server.New(svc)
+	return server.NewWithConfig(svc, server.Config{})
 }
 
 // checkGolden compares the body against testdata/<name>.json, rewriting the

@@ -13,7 +13,7 @@ import (
 )
 
 // DefaultCommitQueue is the per-dataset bound on commits waiting for the
-// group committer. Beyond it Commit fails fast with ErrCommitBusy — the
+// group committer. Beyond it CommitCtx fails fast with ErrCommitBusy — the
 // HTTP layer turns that into 503 + Retry-After, shedding load instead of
 // stacking unbounded goroutines behind a saturated disk.
 const DefaultCommitQueue = 64
@@ -26,9 +26,9 @@ type commitResult struct {
 
 // commitReq is one commit waiting in the group-commit queue.
 type commitReq struct {
-	// ctx is the originating request's context (nil = untraced background
-	// commit): its trace carries through parse, store append and fan-out,
-	// and its request/trace IDs land in CommitInfo.
+	// ctx is the originating request's context: its trace carries through
+	// parse, store append and fan-out, and its request/trace IDs land in
+	// CommitInfo.
 	ctx context.Context
 	// queueSpan times enqueue-to-drain ("commit.queue_wait"); nil when the
 	// request is unsampled.
@@ -38,15 +38,7 @@ type commitReq struct {
 	done      chan commitResult // buffered(1); exactly one result per request
 }
 
-// reqCtx resolves the request's context, never nil.
-func (req *commitReq) reqCtx() context.Context {
-	if req.ctx != nil {
-		return req.ctx
-	}
-	return context.Background()
-}
-
-// committer is a dataset's group-commit gate. Concurrent Commit calls
+// committer is a dataset's group-commit gate. Concurrent CommitCtx calls
 // enqueue; the first enqueuer spawns a drain goroutine that takes whatever
 // has accumulated each round and commits it as ONE store batch — one WAL
 // write, one fsync — so N committers colliding on a busy disk pay one disk
@@ -157,7 +149,7 @@ func (d *Dataset) checkpointStore(reason string) {
 		// A checkpoint fsyncs segments, dict and manifest while holding the
 		// write lock; /readyz reports not-ready for the duration.
 		d.health.begin(blockCheckpoint)
-		err := d.sds.CheckpointReason(reason)
+		err := d.sds.CheckpointReasonCtx(context.Background(), reason)
 		d.health.end(blockCheckpoint)
 		if err != nil {
 			d.metrics.ckptFailures.With(reason).Inc()
@@ -201,8 +193,7 @@ func (d *Dataset) commitBatch(batch []*commitReq) {
 			continue
 		}
 		g := rdf.NewGraphWithDict(d.dictLocked())
-		rctx := req.reqCtx()
-		_, ps := obs.StartSpan(rctx, "commit.parse")
+		_, ps := obs.StartSpan(req.ctx, "commit.parse")
 		err := rdf.ReadNTriplesInto(g, req.r)
 		ps.SetAttr("version", req.id)
 		ps.SetAttr("triples", strconv.Itoa(g.Len()))
@@ -217,8 +208,8 @@ func (d *Dataset) commitBatch(batch []*commitReq) {
 			v:   &rdf.Version{ID: req.id, Graph: g},
 			info: &CommitInfo{
 				ID: req.id, Triples: g.Len(), Kind: "memory",
-				RequestID: obs.RequestIDFrom(rctx),
-				TraceID:   obs.TraceIDFrom(rctx),
+				RequestID: obs.RequestIDFrom(req.ctx),
+				TraceID:   obs.TraceIDFrom(req.ctx),
 			},
 		})
 	}
@@ -238,8 +229,8 @@ func (d *Dataset) commitBatch(batch []*commitReq) {
 		// one WAL write, one fsync, however many commits coalesced.
 		bctx := context.Background()
 		for _, s := range ok {
-			if rctx := s.req.reqCtx(); obs.SpanFromContext(rctx) != nil {
-				bctx = rctx
+			if obs.SpanFromContext(s.req.ctx) != nil {
+				bctx = s.req.ctx
 				break
 			}
 		}
@@ -282,13 +273,12 @@ func (d *Dataset) commitBatch(batch []*commitReq) {
 		// reported in FeedError, never as a commit failure — a client must
 		// not see "bad request" for a version that landed.
 		if prev != "" && d.feed.Len() > 0 {
-			rctx := s.req.reqCtx()
-			st, ferr := d.fanOutLocked(rctx, prev, s.v.ID)
+			st, ferr := d.fanOutLocked(s.req.ctx, prev, s.v.ID)
 			if ferr != nil {
 				s.info.FeedError = ferr.Error()
 			}
 			s.info.Feed = st
-			d.logFanOut(rctx, s.v.ID, st, ferr)
+			d.logFanOut(s.req.ctx, s.v.ID, st, ferr)
 		}
 		prev = s.v.ID
 		s.req.done <- commitResult{info: s.info}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -62,7 +63,7 @@ func TestServiceGroupCommitConcurrent(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				id := fmt.Sprintf("w%d-c%d", w, i)
 				body := ntriple(id, "payload")
-				_, err := d.Commit(id, strings.NewReader(body))
+				_, err := d.CommitCtx(context.Background(), id, strings.NewReader(body))
 				errs[w*perWorker+i] = err
 			}
 		}(w)
@@ -99,7 +100,7 @@ func TestServiceGroupCommitConcurrent(t *testing.T) {
 		t.Fatalf("WAL holds %d bytes after reopen (reopen checkpoints)", n)
 	}
 	// And a committed duplicate stays rejected after recovery.
-	if _, err := back.Append(&rdf.Version{ID: "w0-c0", Graph: rdf.NewGraphWithDict(back.Dict())}); err == nil {
+	if _, err := back.AppendBatchCtx(context.Background(), []*rdf.Version{{ID: "w0-c0", Graph: rdf.NewGraphWithDict(back.Dict())}}); err == nil {
 		t.Fatal("duplicate version ID accepted after reopen")
 	}
 }
@@ -124,7 +125,7 @@ func TestServiceCommitBusy(t *testing.T) {
 	results := make(chan error, 16)
 	commit := func(i int) {
 		id := fmt.Sprintf("busy-%d", i)
-		_, err := d.Commit(id, strings.NewReader(ntriple(id, "x")))
+		_, err := d.CommitCtx(context.Background(), id, strings.NewReader(ntriple(id, "x")))
 		results <- err
 	}
 	go commit(0) // dequeued by the (now wedged) drain goroutine
@@ -154,14 +155,14 @@ func TestServiceCommitBusy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After close, commits are refused with the shutdown sentinel.
-	if _, err := d.Commit("late", strings.NewReader(ntriple("late", "x"))); !errors.Is(err, ErrDatasetClosed) {
+	if _, err := d.CommitCtx(context.Background(), "late", strings.NewReader(ntriple("late", "x"))); !errors.Is(err, ErrDatasetClosed) {
 		t.Fatalf("commit after close = %v, want ErrDatasetClosed", err)
 	}
 }
 
 // TestServiceCommitCloseRace races a commit storm against Service.Close and
-// holds the shutdown path to exactly-once semantics: every Commit call must
-// resolve — within a bound, to an ack or to a shedding sentinel — and the
+// holds the shutdown path to exactly-once semantics: every CommitCtx call
+// must resolve — within a bound, to an ack or to a shedding sentinel — and the
 // reopened store must contain every acked commit and none of the refused
 // ones. A hang here is the commit queue and the close drain deadlocking; a
 // ghost version is a refusal whose WAL record escaped anyway.
@@ -175,7 +176,7 @@ func TestServiceCommitCloseRace(t *testing.T) {
 	}
 	// One guaranteed pre-close ack, so the survival half of the assertion
 	// is never vacuous on a fast Close.
-	if _, err := d.Commit("pre", strings.NewReader(ntriple("pre", "x"))); err != nil {
+	if _, err := d.CommitCtx(context.Background(), "pre", strings.NewReader(ntriple("pre", "x"))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -194,7 +195,7 @@ func TestServiceCommitCloseRace(t *testing.T) {
 			<-start
 			for i := 0; i < perWorker; i++ {
 				id := fmt.Sprintf("race-w%d-c%d", w, i)
-				_, err := d.Commit(id, strings.NewReader(ntriple(id, "x")))
+				_, err := d.CommitCtx(context.Background(), id, strings.NewReader(ntriple(id, "x")))
 				results <- outcome{id, err}
 			}
 		}(w)

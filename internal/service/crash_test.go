@@ -11,11 +11,13 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
 	"evorec/internal/profile"
 	"evorec/internal/rdf"
+	"evorec/internal/recommend"
 	"evorec/internal/service"
 	"evorec/internal/store"
 	"evorec/internal/store/vfs"
@@ -26,7 +28,7 @@ const crashFeedDir = "feeds"
 // crashAck records what the workload's client observed succeed — the
 // contract recovery must honor.
 type crashAck struct {
-	commits []string    // version IDs whose Commit returned nil
+	commits []string    // version IDs whose CommitCtx returned nil
 	subs    []string    // subscriber IDs whose Subscribe returned nil
 	fanouts [][2]string // pairs whose fan-out reported no persistence error
 }
@@ -60,7 +62,7 @@ func runCrashWorkload(t testing.TB, fsys vfs.FS, storeDir string, bodies map[str
 		return ack // crashed during open: nothing acknowledged
 	}
 	commit := func(id string) {
-		info, err := d.Commit(id, bytes.NewReader(bodies[id]))
+		info, err := d.CommitCtx(context.Background(), id, bytes.NewReader(bodies[id]))
 		if err != nil {
 			return
 		}
@@ -210,7 +212,7 @@ func TestCrashRecoveryEveryInjectionPoint(t *testing.T) {
 			// An acknowledged fan-out is in the durable ledger: replaying the
 			// pair must be a no-op, never a second delivery.
 			for _, pair := range ack.fanouts {
-				st, err := d.Feed().FanOut(pair[0], pair[1], nil)
+				st, err := d.Feed().FanOutIndexedCtx(context.Background(), pair[0], pair[1], recommend.NewItemIndex(nil))
 				if err != nil {
 					t.Fatalf("re-fanning acked pair %v: %v", pair, err)
 				}
@@ -226,7 +228,7 @@ func TestCrashRecoveryEveryInjectionPoint(t *testing.T) {
 			}
 			for _, id := range ids {
 				if !have[id] {
-					if _, err := d.Commit(id, bytes.NewReader(bodies[id])); err != nil {
+					if _, err := d.CommitCtx(context.Background(), id, bytes.NewReader(bodies[id])); err != nil {
 						t.Fatalf("recovered store refused commit %q: %v", id, err)
 					}
 				}

@@ -15,8 +15,8 @@ import (
 //
 //	healthy --(WAL append / checkpoint failure)--> degraded
 //	degraded --(probe attempt starts)--> healing
-//	healing --(store.Heal succeeds)--> healthy
-//	healing --(store.Heal fails)--> degraded (backoff grows)
+//	healing --(store.HealCtx succeeds)--> healthy
+//	healing --(store.HealCtx fails)--> degraded (backoff grows)
 const (
 	stateHealthy int32 = iota
 	stateDegraded
@@ -69,9 +69,9 @@ func (d *Dataset) enterDegradedLocked(cause error) {
 func (d *Dataset) degraded() bool { return d.state.Load() != stateHealthy }
 
 // healProbe is the supervised recovery loop of one degraded window: sleep a
-// jittered, capped exponential backoff, attempt store.Heal under the write
-// lock, and either flip the dataset back to healthy or grow the backoff and
-// try again. One probe goroutine exists per degraded window; it exits on
+// jittered, capped exponential backoff, attempt store.HealCtx under the
+// write lock, and either flip the dataset back to healthy or grow the
+// backoff and try again. One probe goroutine exists per degraded window; it exits on
 // success or when the dataset closes.
 func (d *Dataset) healProbe(stop, done chan struct{}) {
 	defer close(done)
@@ -102,7 +102,7 @@ func (d *Dataset) healProbe(stop, done chan struct{}) {
 	}
 }
 
-// tryHeal runs one probe attempt: healing state, a root span, store.Heal
+// tryHeal runs one probe attempt: healing state, a root span, store.HealCtx
 // under the write lock (it checkpoints, so it is a readiness blocker like
 // any other checkpoint), then healthy or back to degraded.
 func (d *Dataset) tryHeal(attempt int) bool {

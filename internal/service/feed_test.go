@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"evorec/internal/core"
 	"evorec/internal/profile"
 	"evorec/internal/rdf"
+	"evorec/internal/recommend"
 	"evorec/internal/service"
 	"evorec/internal/store"
 )
@@ -18,7 +20,7 @@ import (
 // commitVersion commits one synthetic version through the N-Triples path.
 func commitVersion(t testing.TB, d *service.Dataset, v *rdf.Version) *service.CommitInfo {
 	t.Helper()
-	info, err := d.Commit(v.ID, ntBody(t, v.Graph))
+	info, err := d.CommitCtx(context.Background(), v.ID, ntBody(t, v.Graph))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +147,10 @@ func TestInvalidateVersionKeepsFeedLedger(t *testing.T) {
 	}
 	// Rebuild the pair (a recommendation forces it) and fan out again by
 	// hand — the ledger must skip.
-	if _, err := d.Recommend(pool[0], core.Request{OlderID: "v1", NewerID: "v2", K: 1}); err != nil {
+	if _, err := d.RecommendCtx(context.Background(), pool[0], core.Request{OlderID: "v1", NewerID: "v2", K: 1}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := d.Feed().FanOut("v1", "v2", nil)
+	st, err := d.Feed().FanOutIndexedCtx(context.Background(), "v1", "v2", recommend.NewItemIndex(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +225,7 @@ func TestFeedPersistsAcrossServices(t *testing.T) {
 	if got, want := len(d2.Subscribers()), len(pool); got != want {
 		t.Fatalf("restarted service sees %d subscribers, want %d", got, want)
 	}
-	if st, err := d2.Feed().FanOut("v1", "v2", nil); err != nil || !st.Skipped {
+	if st, err := d2.Feed().FanOutIndexedCtx(context.Background(), "v1", "v2", recommend.NewItemIndex(nil)); err != nil || !st.Skipped {
 		t.Fatalf("restarted ledger did not skip the delivered pair: %+v %v", st, err)
 	}
 
@@ -402,7 +404,7 @@ func TestCommitSurvivesFanOutFailure(t *testing.T) {
 	if err := os.WriteFile(fdir, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	info, err := d.Commit("v2", ntBody(t, vs.At(1).Graph))
+	info, err := d.CommitCtx(context.Background(), "v2", ntBody(t, vs.At(1).Graph))
 	if err != nil {
 		t.Fatalf("commit failed on a feed persistence error: %v", err)
 	}
@@ -416,5 +418,64 @@ func TestCommitSurvivesFanOutFailure(t *testing.T) {
 	// In-memory delivery still happened: subscribers can poll the batch.
 	if n := feedEntryCount(t, d); n == 0 {
 		t.Fatal("no in-memory delivery despite persistence failure")
+	}
+}
+
+// TestCancelledCommitStillFansOut: a commit whose request context is
+// cancelled while it waits in the queue (a client that hung up, a route
+// deadline that expired) is still durable, so its pair must still reach
+// the subscribers, or the feed ledger never sees it. The first commit after
+// Open pages the older version in from the store, the one step of the
+// fan-out that checks its context.
+func TestCancelledCommitStillFansOut(t *testing.T) {
+	vs := testChain(t, 3) // v1..v4
+	storeDir := t.TempDir()
+	base := rdf.NewVersionStore()
+	for i := 0; i < 2; i++ {
+		if err := base.Add(vs.At(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := store.Save(storeDir, base, store.Options{Policy: store.DeltaChain}); err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Config{FeedThreshold: 0.01})
+	d, err := svc.Open("kb", storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := svc.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	for _, u := range testProfiles(t, vs, 6) {
+		if _, _, err := d.Subscribe(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	info, err := d.CommitCtx(ctx, "v3", ntBody(t, vs.At(2).Graph))
+	if err != nil {
+		t.Fatalf("cancelled commit: %v", err)
+	}
+	if info.FeedError != "" {
+		t.Fatalf("durable commit lost its fan-out: %s", info.FeedError)
+	}
+	if info.Feed == nil || info.Feed.OlderID != "v2" || info.Feed.NewerID != "v3" {
+		t.Fatalf("cancelled commit fan-out = %+v, want v2->v3", info.Feed)
+	}
+	if got := d.Info().FeedPairs; got != 1 {
+		t.Fatalf("FeedPairs = %d after the cancelled commit, want 1", got)
+	}
+
+	info = commitVersion(t, d, vs.At(3))
+	if info.Feed == nil || info.Feed.OlderID != "v3" || info.Feed.NewerID != "v4" {
+		t.Fatalf("next commit fan-out = %+v, want v3->v4", info.Feed)
+	}
+	if got := d.Info().FeedPairs; got != 2 {
+		t.Fatalf("FeedPairs = %d, want 2 (v2->v3 and v3->v4)", got)
 	}
 }

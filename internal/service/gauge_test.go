@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"regexp"
 	"strings"
@@ -89,7 +90,7 @@ func TestSharedGaugesSumOverDatasets(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := d.Commit(id, strings.NewReader(ntriple(id, "x"))); err != nil {
+			if _, err := d.CommitCtx(context.Background(), id, strings.NewReader(ntriple(id, "x"))); err != nil {
 				t.Errorf("commit %s to %s: %v", id, d.name, err)
 			}
 		}()

@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -43,7 +44,7 @@ func TestRacePooledScratchAcrossEndpoints(t *testing.T) {
 	wantRec := make(map[string][]recommend.Recommendation)
 	for _, u := range pool {
 		for _, s := range []core.Strategy{core.Plain, core.NoveltyAware, core.SemanticDiverse} {
-			sel, err := d.Recommend(u.Clone(), req(s))
+			sel, err := d.RecommendCtx(context.Background(), u.Clone(), req(s))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,14 +54,14 @@ func TestRacePooledScratchAcrossEndpoints(t *testing.T) {
 	wantGroup := make(map[string][]recommend.Recommendation)
 	for _, g := range groups {
 		for _, agg := range []recommend.Aggregation{recommend.Average, recommend.LeastMisery, recommend.MostPleasure} {
-			sel, err := d.RecommendGroup(g, core.GroupRequest{OlderID: "v1", NewerID: "v2", K: 3, Aggregation: agg})
+			sel, err := d.RecommendGroupCtx(context.Background(), g, core.GroupRequest{OlderID: "v1", NewerID: "v2", K: 3, Aggregation: agg})
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantGroup[g.ID+"/"+agg.String()] = sel
 		}
 	}
-	wantNotify, err := d.Notify(pool, "v1", "v2", 0.05, 3)
+	wantNotify, err := d.NotifyCtx(context.Background(), pool, "v1", "v2", 0.05, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestRacePooledScratchAcrossEndpoints(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				u := pool[(w+r)%len(pool)]
 				s := []core.Strategy{core.Plain, core.NoveltyAware, core.SemanticDiverse}[r%3]
-				sel, err := d.Recommend(u.Clone(), req(s))
+				sel, err := d.RecommendCtx(context.Background(), u.Clone(), req(s))
 				if err != nil {
 					errc <- err
 					return
@@ -87,7 +88,7 @@ func TestRacePooledScratchAcrossEndpoints(t *testing.T) {
 				}
 				g := groups[(w+r)%len(groups)]
 				agg := []recommend.Aggregation{recommend.Average, recommend.LeastMisery, recommend.MostPleasure}[r%3]
-				gsel, err := d.RecommendGroup(g, core.GroupRequest{OlderID: "v1", NewerID: "v2", K: 3, Aggregation: agg})
+				gsel, err := d.RecommendGroupCtx(context.Background(), g, core.GroupRequest{OlderID: "v1", NewerID: "v2", K: 3, Aggregation: agg})
 				if err != nil {
 					errc <- err
 					return
@@ -97,7 +98,7 @@ func TestRacePooledScratchAcrossEndpoints(t *testing.T) {
 					return
 				}
 				if r%5 == 0 {
-					ns, err := d.Notify(pool, "v1", "v2", 0.05, 3)
+					ns, err := d.NotifyCtx(context.Background(), pool, "v1", "v2", 0.05, 3)
 					if err != nil {
 						errc <- err
 						return

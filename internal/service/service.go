@@ -23,7 +23,7 @@
 // Datasets come in two flavors: disk-backed (opened from an internal/store
 // directory, versions materialize lazily through the store's LRU) and
 // in-memory (registered from a version store or created empty and fed
-// entirely through Commit).
+// entirely through CommitCtx).
 package service
 
 import (
@@ -108,7 +108,7 @@ type Config struct {
 	// fault-injecting in-memory filesystem here.
 	FS vfs.FS
 	// CommitQueue bounds each dataset's group-commit queue; beyond it
-	// Commit fails fast with ErrCommitBusy. Zero keeps DefaultCommitQueue.
+	// CommitCtx fails fast with ErrCommitBusy. Zero keeps DefaultCommitQueue.
 	CommitQueue int
 	// BuildConcurrency bounds concurrent cold pair builds across the whole
 	// service; beyond it reads needing a build shed with ErrBuildBusy
@@ -221,7 +221,7 @@ func (s *Service) Open(name, dir string) (*Dataset, error) {
 	})
 }
 
-// Create registers an empty in-memory dataset, to be fed through Commit.
+// Create registers an empty in-memory dataset, to be fed through CommitCtx.
 func (s *Service) Create(name string) (*Dataset, error) {
 	return s.register(name, func() (*Dataset, error) {
 		return newDataset(name, "", nil, nil, s.cfg, &s.ready, s.buildGate)

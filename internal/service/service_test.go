@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -110,7 +111,7 @@ func TestServiceParallelMatchesSerial(t *testing.T) {
 			wg.Add(1)
 			go func(key reqKey) {
 				defer wg.Done()
-				sel, err := d.Recommend(pool[key.user], core.Request{
+				sel, err := d.RecommendCtx(context.Background(), pool[key.user], core.Request{
 					OlderID: key.pair.older, NewerID: key.pair.newer, K: 3, Strategy: key.strat,
 				})
 				if err != nil {
@@ -155,7 +156,7 @@ func TestServiceSingleflightOnePair(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := d.Recommend(pool[0], core.Request{
+			if _, err := d.RecommendCtx(context.Background(), pool[0], core.Request{
 				OlderID: ids[0], NewerID: ids[1], K: 2,
 			}); err != nil {
 				t.Error(err)
@@ -195,7 +196,7 @@ func TestServiceHammerRecommendCommitNotify(t *testing.T) {
 			g := base.Clone()
 			g.Add(rdf.T(rdf.ResourceIRI(fmt.Sprintf("live-%d", i)), rdf.RDFSLabel,
 				rdf.NewLiteral("committed mid-flight")))
-			if _, err := d.Commit(fmt.Sprintf("v-live-%d", i), ntBody(t, g)); err != nil {
+			if _, err := d.CommitCtx(context.Background(), fmt.Sprintf("v-live-%d", i), ntBody(t, g)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -211,19 +212,19 @@ func TestServiceHammerRecommendCommitNotify(t *testing.T) {
 				older, newer := ids[p], ids[p+1]
 				switch i % 4 {
 				case 0:
-					if _, err := d.Recommend(pool[w%len(pool)], core.Request{
+					if _, err := d.RecommendCtx(context.Background(), pool[w%len(pool)], core.Request{
 						OlderID: older, NewerID: newer, K: 3,
 					}); err != nil {
 						t.Error(err)
 						return
 					}
 				case 1:
-					if _, err := d.Notify(pool, older, newer, 0.05, 2); err != nil {
+					if _, err := d.NotifyCtx(context.Background(), pool, older, newer, 0.05, 2); err != nil {
 						t.Error(err)
 						return
 					}
 				case 2:
-					if _, err := d.Delta(older, newer); err != nil {
+					if _, err := d.DeltaCtx(context.Background(), older, newer); err != nil {
 						t.Error(err)
 						return
 					}
@@ -265,7 +266,7 @@ func TestServiceCommitLifecycle(t *testing.T) {
 	vs := testChain(t, 2)
 	for _, id := range vs.IDs() {
 		v, _ := vs.Get(id)
-		info, err := d.Commit(id, ntBody(t, v.Graph))
+		info, err := d.CommitCtx(context.Background(), id, ntBody(t, v.Graph))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +279,7 @@ func TestServiceCommitLifecycle(t *testing.T) {
 	}
 	pool := testProfiles(t, vs, 2)
 	ids := vs.IDs()
-	sel, err := d.Recommend(pool[0], core.Request{OlderID: ids[0], NewerID: ids[1], K: 3})
+	sel, err := d.RecommendCtx(context.Background(), pool[0], core.Request{OlderID: ids[0], NewerID: ids[1], K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,16 +288,16 @@ func TestServiceCommitLifecycle(t *testing.T) {
 	}
 
 	// Error paths map to the sentinels the HTTP layer needs.
-	if _, err := d.Commit(ids[0], strings.NewReader("")); !errors.Is(err, service.ErrDuplicateVersion) {
+	if _, err := d.CommitCtx(context.Background(), ids[0], strings.NewReader("")); !errors.Is(err, service.ErrDuplicateVersion) {
 		t.Fatalf("duplicate commit error = %v, want ErrDuplicateVersion", err)
 	}
-	if _, err := d.Commit("bad", strings.NewReader("not n-triples")); err == nil {
+	if _, err := d.CommitCtx(context.Background(), "bad", strings.NewReader("not n-triples")); err == nil {
 		t.Fatal("malformed N-Triples must fail the commit")
 	}
 	if got := d.Versions(); len(got) != vs.Len() {
 		t.Fatalf("failed commits must not register versions; have %v", got)
 	}
-	if _, err := d.Recommend(pool[0], core.Request{OlderID: "nope", NewerID: ids[1], K: 1}); !errors.Is(err, service.ErrUnknownVersion) {
+	if _, err := d.RecommendCtx(context.Background(), pool[0], core.Request{OlderID: "nope", NewerID: ids[1], K: 1}); !errors.Is(err, service.ErrUnknownVersion) {
 		t.Fatalf("unknown version error = %v, want ErrUnknownVersion", err)
 	}
 	if _, err := svc.Get("missing"); !errors.Is(err, service.ErrUnknownDataset) {
@@ -332,7 +333,7 @@ func TestServiceBackedInfo(t *testing.T) {
 	}
 	ids := vs.IDs()
 	pool := testProfiles(t, vs, 1)
-	if _, err := d.Recommend(pool[0], core.Request{OlderID: ids[0], NewerID: ids[1], K: 2}); err != nil {
+	if _, err := d.RecommendCtx(context.Background(), pool[0], core.Request{OlderID: ids[0], NewerID: ids[1], K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	info = d.Info()
@@ -376,7 +377,7 @@ func TestServiceGroupAndPrivate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := d.RecommendGroup(g, core.GroupRequest{
+	sel, err := d.RecommendGroupCtx(context.Background(), g, core.GroupRequest{
 		OlderID: ids[0], NewerID: ids[1], K: 3, FairGreedy: true, FairAlpha: 0.5,
 	})
 	if err != nil {
@@ -385,7 +386,7 @@ func TestServiceGroupAndPrivate(t *testing.T) {
 	if len(sel) == 0 {
 		t.Fatal("group recommendation is empty")
 	}
-	priv, err := d.RecommendPrivate(pool, 0, core.Request{
+	priv, err := d.RecommendPrivateCtx(context.Background(), pool, 0, core.Request{
 		OlderID: ids[0], NewerID: ids[1], K: 3,
 	}, core.PrivacyPolicy{KAnonymity: 2, Epsilon: 0.5, Seed: 1})
 	if err != nil {
@@ -393,5 +394,76 @@ func TestServiceGroupAndPrivate(t *testing.T) {
 	}
 	if len(priv) == 0 {
 		t.Fatal("private recommendation is empty")
+	}
+}
+
+// TestReadsHonorCancellation: every read method takes the caller's context
+// first. A cancelled context on a cold pair returns context.Canceled
+// without building anything, and the same call on a live context then
+// builds the pair exactly once.
+func TestReadsHonorCancellation(t *testing.T) {
+	vs := testChain(t, 1)
+	pool := testProfiles(t, vs, 3)
+	g, err := profile.NewGroup("g", pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := core.Request{OlderID: "v1", NewerID: "v2", K: 3}
+	reads := []struct {
+		name string
+		call func(ctx context.Context, d *service.Dataset) error
+	}{
+		{"recommend", func(ctx context.Context, d *service.Dataset) error {
+			_, err := d.RecommendCtx(ctx, pool[0], req)
+			return err
+		}},
+		{"recommend-private", func(ctx context.Context, d *service.Dataset) error {
+			_, err := d.RecommendPrivateCtx(ctx, pool, 0, req, core.PrivacyPolicy{KAnonymity: 2})
+			return err
+		}},
+		{"recommend-group", func(ctx context.Context, d *service.Dataset) error {
+			_, err := d.RecommendGroupCtx(ctx, g, core.GroupRequest{OlderID: "v1", NewerID: "v2", K: 3})
+			return err
+		}},
+		{"notify", func(ctx context.Context, d *service.Dataset) error {
+			_, err := d.NotifyCtx(ctx, pool, "v1", "v2", 0.05, 3)
+			return err
+		}},
+		{"delta", func(ctx context.Context, d *service.Dataset) error {
+			_, err := d.DeltaCtx(ctx, "v1", "v2")
+			return err
+		}},
+		{"measures", func(ctx context.Context, d *service.Dataset) error {
+			_, err := d.MeasuresCtx(ctx, "v1", "v2", 3)
+			return err
+		}},
+	}
+	for _, rd := range reads {
+		t.Run(rd.name, func(t *testing.T) {
+			svc := service.New(service.Config{})
+			t.Cleanup(func() {
+				if err := svc.Close(); err != nil {
+					t.Error(err)
+				}
+			})
+			d, err := svc.Add("kb", vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := rd.call(ctx, d); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled cold read = %v, want context.Canceled", err)
+			}
+			if n := d.Info().ContextBuilds; n != 0 {
+				t.Fatalf("cancelled cold read built %d contexts, want 0", n)
+			}
+			if err := rd.call(context.Background(), d); err != nil {
+				t.Fatal(err)
+			}
+			if n := d.Info().ContextBuilds; n != 1 {
+				t.Fatalf("live read built %d contexts, want 1", n)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"context"
 	"testing"
 
 	"evorec/internal/core"
@@ -47,7 +48,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	// build): one leader build, then one pair-cache hit.
 	req := core.Request{OlderID: "v1", NewerID: "v3", K: 2}
 	for i := 0; i < 2; i++ {
-		if _, err := d.Recommend(pool[0], req); err != nil {
+		if _, err := d.RecommendCtx(context.Background(), pool[0], req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +78,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	var checkpoints float64
 	for _, reason := range []string{
 		store.CheckpointIdle, store.CheckpointWALBound,
-		store.CheckpointClose, store.CheckpointExplicit, store.CheckpointReplay,
+		store.CheckpointClose, store.CheckpointReplay,
 	} {
 		checkpoints += snap[`evorec_store_checkpoint_seconds_count{reason="`+reason+`"}`]
 	}
@@ -104,7 +105,7 @@ func TestTelemetryDisabled(t *testing.T) {
 		commitVersion(t, d, vs.At(i))
 	}
 	pool := testProfiles(t, vs, 1)
-	if _, err := d.Recommend(pool[0], core.Request{OlderID: "v1", NewerID: "v2", K: 2}); err != nil {
+	if _, err := d.RecommendCtx(context.Background(), pool[0], core.Request{OlderID: "v1", NewerID: "v2", K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Close(); err != nil {

@@ -10,21 +10,6 @@ import (
 	"evorec/internal/rdf"
 )
 
-// Append persists v as the next version of the stored chain; it is
-// AppendBatch of a single version.
-func (ds *Dataset) Append(v *rdf.Version) (*Entry, error) {
-	entries, err := ds.AppendBatch([]*rdf.Version{v})
-	if err != nil {
-		return nil, err
-	}
-	return entries[0], nil
-}
-
-// AppendBatch is AppendBatchCtx without a tracing context.
-func (ds *Dataset) AppendBatch(vs []*rdf.Version) ([]*Entry, error) {
-	return ds.AppendBatchCtx(context.Background(), vs)
-}
-
 // AppendBatchCtx persists vs, in order, as the next versions of the stored
 // chain and registers them in the open handle. This is the group-commit
 // primitive: the whole batch becomes durable through ONE write-ahead-log
@@ -36,10 +21,10 @@ func (ds *Dataset) AppendBatch(vs []*rdf.Version) ([]*Entry, error) {
 //  1. Validate and encode every version, building one WAL record per commit
 //     (segment payload, dictionary tail, chain parent).
 //  2. Append all records to the WAL and fsync it — the acknowledgment
-//     point. When AppendBatch returns nil, the batch survives any crash.
+//     point. When AppendBatchCtx returns nil, the batch survives any crash.
 //  3. Apply: write each segment file (atomic rename, no fsync yet) and
 //     extend the in-memory manifest. Durability for these files comes from
-//     the WAL until a later Checkpoint fsyncs them and truncates the log;
+//     the WAL until a later checkpoint fsyncs them and truncates the log;
 //     the on-disk manifest is deliberately NOT rewritten here, so a crash
 //     can never leave a manifest referencing unsynced segments.
 //
@@ -116,7 +101,7 @@ func (ds *Dataset) AppendBatchCtx(ctx context.Context, vs []*rdf.Version) ([]*En
 		i := base + k
 		// The tail starts at the logged/durable watermark, not the current
 		// dict size: graphs sharing the dict may have interned terms since
-		// the last Append, and those must ride in this record too. The
+		// the last append, and those must ride in this record too. The
 		// watermark stays local until the WAL write succeeds — a validation
 		// failure mid-batch must not strand unlogged terms below it.
 		dictBase := covered

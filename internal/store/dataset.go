@@ -22,14 +22,15 @@ const DefaultCacheCap = 4
 // plus the delta replays since the nearest snapshot (or cached graph) — not
 // a load of the whole chain.
 //
-// Graphs returned by Graph/GraphAt share the dataset's Dict and are cached;
-// treat them as immutable (the VersionStore convention). A Dataset is not
-// safe for concurrent use.
+// Graphs returned by GraphCtx/GraphAtCtx share the dataset's Dict and are
+// cached; treat them as immutable (the VersionStore convention). A Dataset
+// is not safe for concurrent use.
 //
-// Once any write-path operation fails, the handle is poisoned: every further
-// Append/Checkpoint returns the original error (reads keep working from
-// memory). A half-applied commit must not be built upon — reopening the
-// directory runs WAL recovery and yields a clean handle.
+// Once any write-path operation fails, the handle is poisoned: every
+// further AppendBatchCtx/CheckpointReasonCtx returns the original error
+// (reads keep working from memory). A half-applied commit must not be
+// built upon — reopening the directory runs WAL recovery and yields a
+// clean handle.
 type Dataset struct {
 	dir  string
 	fsys vfs.FS
@@ -47,8 +48,8 @@ type Dataset struct {
 	pending map[string]bool
 	// dictCovered is the dictionary watermark already durable or WAL-logged.
 	// Terms above it exist only in memory (graphs sharing the dict may intern
-	// between Appends), so the next WAL record's tail starts here — not at
-	// the dict size when Append happens to run.
+	// between appends), so the next WAL record's tail starts here — not at
+	// the dict size when AppendBatchCtx happens to run.
 	dictCovered int
 	failed      error
 }
@@ -206,25 +207,19 @@ func (ds *Dataset) applyWALRecord(rec *walRecord) error {
 	return nil
 }
 
-// Checkpoint makes every commit since the last checkpoint durable and
-// truncates the WAL: pending segments are fsynced, the directory synced so
-// their names hold, the dictionary segment rewritten durably, and the
+// CheckpointReasonCtx makes every commit since the last checkpoint durable
+// and truncates the WAL: pending segments are fsynced, the directory synced
+// so their names hold, the dictionary segment rewritten durably, and the
 // manifest — the commit point — written with the full fsync discipline.
 // After a clean checkpoint the WAL is redundant and reset. Idempotent and
 // cheap when nothing is outstanding.
-func (ds *Dataset) Checkpoint() error { return ds.CheckpointReason(CheckpointExplicit) }
-
-// CheckpointReason is Checkpoint with the trigger reason that lands in the
-// checkpoint duration histogram — service layers distinguish idle
-// background checkpoints from size-bound ones when reading saturation.
-func (ds *Dataset) CheckpointReason(reason string) error {
-	return ds.CheckpointReasonCtx(context.Background(), reason)
-}
-
-// CheckpointReasonCtx is CheckpointReason recording a "store.checkpoint"
-// span (attributed with the reason) when ctx carries a sampled trace —
-// a wal-bound checkpoint triggered inside a commit shows up in that
-// commit's timeline.
+//
+// reason is the trigger that lands in the checkpoint duration histogram —
+// service layers distinguish idle background checkpoints from size-bound
+// ones when reading saturation. When ctx carries a sampled trace the
+// checkpoint is recorded as a "store.checkpoint" span attributed with the
+// reason, so a wal-bound checkpoint triggered inside a commit shows up in
+// that commit's timeline.
 func (ds *Dataset) CheckpointReasonCtx(ctx context.Context, reason string) error {
 	if ds.failed != nil {
 		return ds.failed
@@ -292,7 +287,7 @@ func (ds *Dataset) WALSize() int64 { return ds.wal.size }
 func (ds *Dataset) Close() error {
 	var err error
 	if ds.failed == nil && (len(ds.pending) > 0 || ds.wal.size > 0) {
-		err = ds.CheckpointReason(CheckpointClose)
+		err = ds.CheckpointReasonCtx(context.Background(), CheckpointClose)
 	}
 	if cerr := ds.wal.close(); err == nil {
 		err = cerr
@@ -313,10 +308,10 @@ func (ds *Dataset) fail(err error) {
 // Failed returns the error that poisoned the handle, or nil while healthy.
 func (ds *Dataset) Failed() error { return ds.failed }
 
-// Heal attempts to clear a poisoned handle in place, without reopening the
-// directory. It is safe because a failed batch is rejected before the
+// HealCtx attempts to clear a poisoned handle in place, without reopening
+// the directory. It is safe because a failed batch is rejected before the
 // in-memory manifest is swapped: ds.man always holds exactly the
-// acknowledged prefix, whatever the failure half-applied elsewhere. Heal
+// acknowledged prefix, whatever the failure half-applied elsewhere. HealCtx
 // rebuilds the index and pending set from that manifest, then runs a full
 // checkpoint — fsync the acknowledged segments, rewrite the dictionary
 // segment, write the manifest durably, truncate the WAL. The truncation
@@ -327,11 +322,9 @@ func (ds *Dataset) Failed() error { return ds.failed }
 // On success the handle appends and checkpoints again and every
 // acknowledged commit is durable. If the underlying fault persists, the
 // checkpoint's error is returned and the handle stays poisoned (with the
-// new error), ready for another attempt.
-func (ds *Dataset) Heal() error { return ds.HealCtx(context.Background()) }
-
-// HealCtx is Heal recording a "store.heal" span when ctx carries a sampled
-// trace — each supervised probe attempt shows up as its own span.
+// new error), ready for another attempt. When ctx carries a sampled trace
+// the attempt is recorded as a "store.heal" span, so each supervised probe
+// attempt shows up as its own span.
 func (ds *Dataset) HealCtx(ctx context.Context) error {
 	if ds.failed == nil {
 		return nil
@@ -396,7 +389,7 @@ func (ds *Dataset) Dict() *rdf.Dict { return ds.dict }
 // Manifest returns the dataset's manifest.
 func (ds *Dataset) Manifest() *Manifest { return ds.man }
 
-// CacheStats reports the LRU's hit/miss counters over GraphAt requests.
+// CacheStats reports the LRU's hit/miss counters over GraphAtCtx requests.
 func (ds *Dataset) CacheStats() (hits, misses int) { return ds.lru.hits, ds.lru.misses }
 
 // Has reports whether the store holds a version with the given ID, without
@@ -421,12 +414,8 @@ func (ds *Dataset) GraphCtx(ctx context.Context, id string) (*rdf.Graph, error) 
 	return ds.GraphAtCtx(ctx, i)
 }
 
-// GraphAt materializes the i-th version in evolution order.
-func (ds *Dataset) GraphAt(i int) (*rdf.Graph, error) {
-	return ds.GraphAtCtx(context.Background(), i)
-}
-
-// GraphAtCtx is GraphAt under a tracing context; see GraphCtx.
+// GraphAtCtx materializes the i-th version in evolution order under a
+// tracing context; see GraphCtx.
 func (ds *Dataset) GraphAtCtx(ctx context.Context, i int) (*rdf.Graph, error) {
 	if i < 0 || i >= len(ds.man.Entries) {
 		return nil, fmt.Errorf("store: version index %d out of range [0, %d)", i, len(ds.man.Entries))

@@ -68,7 +68,7 @@ func segmentError(file, msg string) error {
 
 // writeSegment frames payload and writes it to path, returning the file
 // size. The write goes through a temp file plus rename, so a crash
-// mid-write can never leave a torn segment under the final name — Append
+// mid-write can never leave a torn segment under the final name — AppendBatchCtx
 // rewrites the live dictionary segment in place and relies on this. With
 // durable set the temp file is fsynced before the rename and the directory
 // after it; without it the caller owes a later SyncPath+SyncDir (the

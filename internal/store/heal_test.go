@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -12,8 +13,8 @@ import (
 
 // TestStoreHealTransientFault drives one open handle through a transient
 // write fault and back: the faulted append poisons the handle (every later
-// append fails fast), Heal cannot clear it while the fault holds, and once
-// the fault lifts Heal restores full service in place — the acknowledged
+// append fails fast), HealCtx cannot clear it while the fault holds, and once
+// the fault lifts HealCtx restores full service in place — the acknowledged
 // prefix intact, the failed ID free to retry, and the healed chain
 // surviving a reopen.
 func TestStoreHealTransientFault(t *testing.T) {
@@ -34,12 +35,12 @@ func TestStoreHealTransientFault(t *testing.T) {
 		}
 		return &rdf.Version{ID: id, Graph: g}
 	}
-	if _, err := ds.Append(next("x1")); err != nil {
+	if _, err := appendOne(ds, next("x1")); err != nil {
 		t.Fatalf("healthy append: %v", err)
 	}
 
 	chaos.Arm()
-	if _, err := ds.Append(next("x2")); !errors.Is(err, vfs.ErrChaos) {
+	if _, err := appendOne(ds, next("x2")); !errors.Is(err, vfs.ErrChaos) {
 		t.Fatalf("faulted append = %v, want ErrChaos in the chain", err)
 	}
 	if ds.Failed() == nil {
@@ -47,36 +48,36 @@ func TestStoreHealTransientFault(t *testing.T) {
 	}
 	// Poisoned handles fail fast without touching the disk again.
 	before := chaos.Faults()
-	if _, err := ds.Append(next("x3")); err == nil {
+	if _, err := appendOne(ds, next("x3")); err == nil {
 		t.Fatal("append on a poisoned handle succeeded")
 	}
 	if chaos.Faults() != before {
 		t.Fatal("poisoned append reached the filesystem")
 	}
-	// Heal is powerless while the fault persists: the heal checkpoint
+	// HealCtx is powerless while the fault persists: the heal checkpoint
 	// itself faults and the handle stays poisoned.
-	if err := ds.Heal(); err == nil {
-		t.Fatal("Heal succeeded while the fault was still armed")
+	if err := ds.HealCtx(context.Background()); err == nil {
+		t.Fatal("HealCtx succeeded while the fault was still armed")
 	}
 	if ds.Failed() == nil {
 		t.Fatal("handle unpoisoned by a failed heal")
 	}
 
 	chaos.Disarm()
-	if err := ds.Heal(); err != nil {
+	if err := ds.HealCtx(context.Background()); err != nil {
 		t.Fatalf("heal after the fault cleared: %v", err)
 	}
 	if err := ds.Failed(); err != nil {
 		t.Fatalf("Failed() = %v after a successful heal", err)
 	}
-	// Heal checkpointed: the acknowledged prefix is durable and the WAL is
+	// HealCtx checkpointed: the acknowledged prefix is durable and the WAL is
 	// empty, with the faulted batch's record discarded (its caller saw an
 	// error; replaying it would resurrect a reported failure).
 	if n := ds.WALSize(); n != 0 {
 		t.Fatalf("WAL holds %d bytes after heal (heal checkpoints and truncates)", n)
 	}
 	// The failed IDs were never stored, so retries are fresh commits.
-	if _, err := ds.Append(next("x2")); err != nil {
+	if _, err := appendOne(ds, next("x2")); err != nil {
 		t.Fatalf("retrying the faulted ID after heal: %v", err)
 	}
 	if err := ds.Close(); err != nil {

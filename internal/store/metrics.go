@@ -57,16 +57,14 @@ func (ds *Dataset) SetMetrics(reg *obs.Registry) {
 const (
 	// CheckpointReplay is WAL recovery at open.
 	CheckpointReplay = "replay"
-	// CheckpointWALBound is the in-Append WAL size bound.
+	// CheckpointWALBound is the in-AppendBatchCtx WAL size bound.
 	CheckpointWALBound = "wal-bound"
-	// CheckpointExplicit is a direct Checkpoint() call.
-	CheckpointExplicit = "explicit"
 	// CheckpointClose is the final checkpoint inside Close.
 	CheckpointClose = "close"
 	// CheckpointIdle is a background checkpoint taken while the commit
 	// queue is quiet (the service's group committer uses it).
 	CheckpointIdle = "idle"
-	// CheckpointHeal is the recovery checkpoint a Heal of a poisoned
+	// CheckpointHeal is the recovery checkpoint a HealCtx of a poisoned
 	// handle runs to re-establish a durable, WAL-empty state.
 	CheckpointHeal = "heal"
 )

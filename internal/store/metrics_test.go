@@ -58,7 +58,7 @@ func TestMetricsSeries(t *testing.T) {
 	}
 	walBytes += float64(ds.WALSize())
 	check("evorec_wal_size_bytes", float64(ds.WALSize()))
-	if err := ds.CheckpointReason(store.CheckpointIdle); err != nil {
+	if err := ds.CheckpointReasonCtx(context.Background(), store.CheckpointIdle); err != nil {
 		t.Fatal(err)
 	}
 	segBytes += float64(ds.Manifest().Dict.Bytes)
@@ -72,7 +72,7 @@ func TestMetricsSeries(t *testing.T) {
 	}
 	segBytes += float64(entries[0].Bytes)
 	walBytes += float64(ds.WALSize())
-	if err := ds.CheckpointReason(store.CheckpointWALBound); err != nil {
+	if err := ds.CheckpointReasonCtx(context.Background(), store.CheckpointWALBound); err != nil {
 		t.Fatal(err)
 	}
 	segBytes += float64(ds.Manifest().Dict.Bytes)
@@ -107,10 +107,10 @@ func TestMetricsNilRegistry(t *testing.T) {
 	vs := testChain(t, 2)
 	ds := openMemStore(t, vs)
 	ds.SetMetrics(nil)
-	if _, err := ds.AppendBatch([]*rdf.Version{vs.At(1), vs.At(2)}); err != nil {
+	if _, err := ds.AppendBatchCtx(context.Background(), []*rdf.Version{vs.At(1), vs.At(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.CheckpointReason(store.CheckpointIdle); err != nil {
+	if err := ds.CheckpointReasonCtx(context.Background(), store.CheckpointIdle); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ds.Graph("v2"); err != nil {

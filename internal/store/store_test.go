@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,15 @@ import (
 	"evorec/internal/store"
 	"evorec/internal/synth"
 )
+
+// appendOne commits v as a batch of one and returns its manifest entry.
+func appendOne(ds *store.Dataset, v *rdf.Version) (*store.Entry, error) {
+	entries, err := ds.AppendBatchCtx(context.Background(), []*rdf.Version{v})
+	if err != nil {
+		return nil, err
+	}
+	return entries[0], nil
+}
 
 // testChain generates a shared-dict evolving dataset for store tests.
 func testChain(t testing.TB, steps int) *rdf.VersionStore {
@@ -116,7 +126,7 @@ func TestStoreLazyRandomAccess(t *testing.T) {
 	}
 	// Ask for a middle version directly — no other version is materialized.
 	mid := ds.Len() / 2
-	g, err := ds.GraphAt(mid)
+	g, err := ds.GraphAtCtx(context.Background(), mid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +135,7 @@ func TestStoreLazyRandomAccess(t *testing.T) {
 		t.Fatalf("random access to version %d reconstructed the wrong graph", mid)
 	}
 	// Same request again is a cache hit returning the same graph.
-	g2, err := ds.GraphAt(mid)
+	g2, err := ds.GraphAtCtx(context.Background(), mid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +156,7 @@ func TestStoreLazyRandomAccess(t *testing.T) {
 	if _, err := ds.Graph("no-such-version"); err == nil {
 		t.Fatal("unknown version ID must error")
 	}
-	if _, err := ds.GraphAt(ds.Len()); err == nil {
+	if _, err := ds.GraphAtCtx(context.Background(), ds.Len()); err == nil {
 		t.Fatal("out-of-range index must error")
 	}
 }
@@ -164,16 +174,16 @@ func TestStoreLRUEviction(t *testing.T) {
 	if err := ds.SetCacheCap(1); err != nil {
 		t.Fatal(err)
 	}
-	g0, err := ds.GraphAt(0)
+	g0, err := ds.GraphAtCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.GraphAt(1); err != nil {
+	if _, err := ds.GraphAtCtx(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	// Version 0 was evicted; a fresh reconstruction is a different object
 	// with the same content.
-	g0again, err := ds.GraphAt(0)
+	g0again, err := ds.GraphAtCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +312,7 @@ func TestStoreCorruptionDetected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ds.GraphAt(0); err == nil || !strings.Contains(err.Error(), "checksum") {
+		if _, err := ds.GraphAtCtx(context.Background(), 0); err == nil || !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("corrupted snapshot must fail the checksum, got %v", err)
 		}
 	})
@@ -320,7 +330,7 @@ func TestStoreCorruptionDetected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ds.GraphAt(1); err == nil {
+		if _, err := ds.GraphAtCtx(context.Background(), 1); err == nil {
 			t.Fatal("truncated delta must fail to decode")
 		}
 	})
@@ -338,7 +348,7 @@ func TestStoreCorruptionDetected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ds.GraphAt(0); err == nil || !strings.Contains(err.Error(), "kind") {
+		if _, err := ds.GraphAtCtx(context.Background(), 0); err == nil || !strings.Contains(err.Error(), "kind") {
 			t.Fatalf("kind mismatch must be detected, got %v", err)
 		}
 	})
@@ -452,18 +462,18 @@ func TestStoreAppend(t *testing.T) {
 			// generator's), plus one extra hand-built version with new terms.
 			for i := 3; i < full; i++ {
 				v := vs.At(i)
-				if _, err := ds.Append(v); err != nil {
+				if _, err := appendOne(ds, v); err != nil {
 					t.Fatalf("append %s: %v", v.ID, err)
 				}
 			}
-			last, err := ds.GraphAt(full - 1)
+			last, err := ds.GraphAtCtx(context.Background(), full-1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			extra := last.Clone()
 			extra.Add(rdf.T(rdf.ResourceIRI("appended-subject"), rdf.RDFSLabel,
 				rdf.NewLiteral("appended at runtime")))
-			entry, err := ds.Append(&rdf.Version{ID: "v-extra", Graph: extra})
+			entry, err := appendOne(ds, &rdf.Version{ID: "v-extra", Graph: extra})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -477,10 +487,10 @@ func TestStoreAppend(t *testing.T) {
 				t.Fatalf("full_snapshots append produced kind %q", entry.Kind)
 			}
 			// Duplicate and invalid IDs are rejected.
-			if _, err := ds.Append(&rdf.Version{ID: "v-extra", Graph: extra}); err == nil {
+			if _, err := appendOne(ds, &rdf.Version{ID: "v-extra", Graph: extra}); err == nil {
 				t.Fatal("duplicate version ID must be rejected")
 			}
-			if _, err := ds.Append(&rdf.Version{ID: "../evil", Graph: extra}); err == nil {
+			if _, err := appendOne(ds, &rdf.Version{ID: "../evil", Graph: extra}); err == nil {
 				t.Fatal("path-escaping version ID must be rejected")
 			}
 			// A fresh Open sees the full appended chain, identical contents.

@@ -50,7 +50,7 @@ func TestVerifyAndPlanRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := verifyGraph(t, ds.Dict(), verifyNT1+verifyNT2)
-	if _, err := ds.Append(&rdf.Version{ID: "v2", Graph: g2}); err != nil {
+	if _, err := ds.AppendBatchCtx(context.Background(), []*rdf.Version{{ID: "v2", Graph: g2}}); err != nil {
 		t.Fatal(err)
 	}
 	mem.Crash()

@@ -51,7 +51,7 @@ const (
 	kindWAL     byte = 6
 )
 
-// DefaultWALCheckpointBytes is the WAL size past which Append checkpoints
+// DefaultWALCheckpointBytes is the WAL size past which AppendBatchCtx checkpoints
 // inline. Service layers with a background checkpointer (group commit) can
 // checkpoint earlier; this bound holds for bare store users too.
 const DefaultWALCheckpointBytes = 4 << 20
@@ -188,8 +188,8 @@ func nextWALFrame(data []byte, off int) (payload []byte, next int, ok bool) {
 }
 
 // wal is the open write-ahead log of one Dataset. The handle is lazy: a
-// read-only Open of a clean store never creates wal.log; the first Append
-// does.
+// read-only Open of a clean store never creates wal.log; the first
+// AppendBatchCtx does.
 type wal struct {
 	fsys vfs.FS
 	dir  string
